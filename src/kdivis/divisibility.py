@@ -3,9 +3,10 @@
 A process ``E_t`` is sliced into two-point complement steps
 ``L = E_{t+eps} . E_t^{-1}`` on a uniform grid. Each step is tested for
 complete positivity (smallest eigenvalue of its Choi matrix) and for
-positivity preservation (smallest output eigenvalue over pure input states).
-A process whose steps all pass the CP test is classified PD2, one that
-passes only the positivity test PD1, anything else PD0.
+positivity preservation (smallest output eigenvalue over pure input states,
+solved exactly as a trust-region subproblem on the Bloch sphere, hard case
+included). A process whose steps all pass the CP test is classified PD2,
+one that passes only the positivity test PD1, anything else PD0.
 
 Steps where the propagator is not invertible under the active condition
 threshold are skipped and reported, never silently pseudo-inverted.
@@ -36,12 +37,6 @@ __all__ = [
     "constant_pauli_class",
     "near_boundary",
 ]
-
-#: default number of Fibonacci-sphere directions for the positivity search
-DEFAULT_DIRECTIONS = 128
-
-#: refinement of the positivity search stops below this angular step
-_REFINE_FLOOR = 1e-10
 
 
 class DivisibilityClass(enum.IntEnum):
@@ -135,91 +130,91 @@ def is_cp(
     return witness >= -tol, witness
 
 
-def _sphere_angles(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    return theta, phi
+#: Newton's method on ``1/|u(nu)|`` converges monotonically and
+#: quadratically; the cap only bounds pathological rounding
+_NEWTON_MAX = 50
 
 
-def _output_witness(ptm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest output eigenvalue of pure states with Bloch directions ``u``.
+def _p_witness(ptm: np.ndarray) -> np.ndarray:
+    """Positivity witness of stacked ``(n, 4, 4)`` transfer matrices.
 
-    ``ptm``: (..., 4, 4) transfer matrices, ``u``: broadcast-compatible
-    (..., 3). The output state of ``(I + u.sigma)/2`` has trace
-    ``F00 + F0.u`` and Bloch vector ``c + M u``.
-    """
-    out = np.einsum("...ij,...j->...i", ptm[..., 1:, 1:], u) + ptm[..., 1:, 0]
-    tr = ptm[..., 0, 0] + np.einsum("...j,...j->...", ptm[..., 0, 1:], u)
-    return 0.5 * (tr - np.linalg.norm(out, axis=-1))
+    The pure input ``(I + u.sigma)/2`` has output trace ``F00 + F0.u`` and
+    output Bloch vector ``M u + c``, so the smallest output eigenvalue over
+    all inputs is at least ``(F00 - |F0| - max_{|u|=1} |M u + c|) / 2``,
+    with equality for trace-preserving maps (``F0 = 0``).
 
-
-_CAND_TH = np.array([1.0, -1.0, 0.0, 0.0])
-_CAND_PH = np.array([0.0, 0.0, 1.0, -1.0])
-
-
-def _refine_witness(
-    ptm: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-    step0: float = 0.35, max_iter: int = 400,
-) -> np.ndarray:
-    """Lockstep coordinate descent on (theta, phi) from given start angles.
-
-    ``ptm`` is (n, 4, 4) with one start angle pair per row; returns the
-    refined minimum for each row.
+    The maximum is a trust-region subproblem on the unit sphere (More &
+    Sorensen 1983). With ``M^T M = Q diag(lam) Q^T``, top eigenvalue
+    ``lam_1`` and ``beta = Q^T M^T c``, a maximizer has the eigen-coordinates
+    ``beta_i / (nu + lam_1 - lam_i)`` for the root ``nu >= 0`` of
+    ``sum_i beta_i^2 / (nu + lam_1 - lam_i)^2 = 1`` (easy case), found by
+    Newton's method on ``1/|u(nu)|`` from the lower bound ``|beta_top|``.
+    When ``beta`` vanishes on the top eigenspace and the sum at ``nu = 0``
+    stays below 1 (hard case), the maximizer is ``w +- sqrt(1 - |w|^2) q_1``
+    with ``w`` the remaining coordinates at ``nu = 0``. Every candidate is
+    evaluated as a unit vector, so rounding can only lower the maximum.
     """
     m = ptm[:, 1:, 1:]
     c = ptm[:, 1:, 0]
-    tr0 = ptm[:, 0, 0]
-    trv = ptm[:, 0, 1:]
+    lam, q = np.linalg.eigh(np.swapaxes(m, 1, 2) @ m)  # ascending: top is last
+    mq = m @ q
+    beta = (c[:, None, :] @ mq)[:, 0]
+    # only exact ties form the top eigenspace; a pair split by rounding needs
+    # no merging, because the root is solved in nu = mu - lam_1, where the
+    # split enters as nu + gap, and a hard-case candidate spoiled by a tiny
+    # gap only arises where the easy-case root is exact
+    gap = lam[:, 2:] - lam
+    top = gap == 0.0
+    live = beta != 0.0
+    b2 = beta * beta
+    zeros = np.zeros_like(beta)
 
-    def fbatch(th, ph):
-        # th, ph broadcast to (k, n); returns witnesses of shape th.shape
-        st = np.sin(th)
-        u = np.empty(th.shape + (3,))
-        u[..., 0] = st * np.cos(ph)
-        u[..., 1] = st * np.sin(ph)
-        u[..., 2] = np.cos(th)
-        out = np.einsum("nij,...nj->...ni", m, u) + c
-        tr = tr0 + np.einsum("nj,...nj->...n", trv, u)
-        return 0.5 * (tr - np.sqrt((out * out).sum(axis=-1)))
-
-    n = len(theta)
-    theta = theta.astype(float).copy()
-    phi = phi.astype(float).copy()
-    cur = fbatch(theta, phi)
-    h = np.full(n, step0)
-    idx = np.arange(n)
-    for _ in range(max_iter):
-        if (h <= _REFINE_FLOOR).all():
+    nu_lo = np.sqrt(np.where(top, b2, 0.0).sum(axis=1))
+    nu_hi = np.sqrt(b2.sum(axis=1))
+    nu = nu_lo
+    for _ in range(_NEWTON_MAX):
+        d = nu[:, None] + gap
+        u2 = np.divide(b2, d * d, out=zeros.copy(), where=live)
+        r2 = u2.sum(axis=1)
+        s3 = np.divide(u2, d, out=zeros.copy(), where=live).sum(axis=1)
+        step = np.divide(r2 * (np.sqrt(r2) - 1.0), s3,
+                         out=np.zeros_like(nu), where=s3 > 0.0)
+        nu_next = np.clip(nu + step, nu_lo, nu_hi)
+        moved = np.abs(nu_next - nu) > 4.0 * np.finfo(float).eps * nu_next
+        nu = nu_next
+        if not moved.any():
             break
-        vals = fbatch(theta[None, :] + _CAND_TH[:, None] * h[None, :],
-                      phi[None, :] + _CAND_PH[:, None] * h[None, :])
-        pick = vals.argmin(axis=0)
-        best = vals[pick, idx]
-        improved = best < cur
-        theta += np.where(improved, _CAND_TH[pick] * h, 0.0)
-        phi += np.where(improved, _CAND_PH[pick] * h, 0.0)
-        cur = np.minimum(cur, best)
-        h = np.where(improved, h, 0.5 * h)
-    return cur
+
+    # candidates as columns: the easy-case solution and both hard-case ones
+    w = np.divide(beta, gap, out=zeros.copy(), where=~top)
+    tau = np.sqrt(np.maximum(0.0, 1.0 - (w * w).sum(axis=1)))
+    cand = np.empty(beta.shape + (3,))
+    cand[:, :, 0] = np.divide(beta, nu[:, None] + gap, out=zeros.copy(), where=live)
+    cand[:, :, 1] = w
+    cand[:, :, 2] = w
+    cand[:, 2, 1] += tau
+    cand[:, 2, 2] -= tau
+    norm = np.sqrt((cand * cand).sum(axis=1, keepdims=True))
+    np.divide(cand, norm, out=cand, where=norm > 0.0)
+    cand[:, 2, :] += norm[:, 0, :] == 0.0
+    out = mq @ cand + c[:, :, None]
+    reach = np.sqrt((out * out).sum(axis=1)).max(axis=1)
+    return 0.5 * (ptm[:, 0, 0] - np.linalg.norm(ptm[:, 0, 1:], axis=1) - reach)
 
 
-def is_positive(
-    l: np.ndarray, tol: float = 1e-9, n_dirs: int = DEFAULT_DIRECTIONS,
-) -> tuple[bool, float]:
-    """Positivity-preservation test over pure input states.
+def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+    """Positivity-preservation test of a trace-preserving qubit map.
 
-    Minimizes the smallest output eigenvalue over a deterministic Fibonacci
-    sphere of ``n_dirs`` Bloch directions, each refined by local coordinate
-    descent; pure inputs suffice because the functional is concave over the
-    state space. Returns ``(ok, witness)``.
+    The witness is the smallest output eigenvalue over all input states,
+    ``(1 - max_{|u|=1} |M u + c|) / 2`` for the Bloch form ``r -> M r + c``,
+    computed exactly as a trust-region subproblem; pure inputs suffice
+    because the functional is concave over the state space. Raises
+    :class:`ValueError` when the map is not trace preserving. Returns
+    ``(ok, witness)``.
     """
-    ptm = qmat.pauli_transfer_matrix(l)
-    dirs = qmat.fibonacci_sphere(n_dirs)
-    ptm_rep = np.broadcast_to(ptm, (n_dirs, 4, 4))
-    screened = _output_witness(ptm_rep, dirs)
-    theta, phi = _sphere_angles(dirs)
-    refined = _refine_witness(ptm_rep, theta, phi)
-    witness = float(min(screened.min(), refined.min()))
+    if not qmat.is_trace_preserving(l):
+        raise ValueError("the positivity witness needs a trace-preserving map")
+    witness = float(_p_witness(qmat.pauli_transfer_matrix(l)[None])[0])
     return witness >= -tol, witness
 
 
@@ -243,8 +238,8 @@ def is_positive_pauli_diagonal(mu, tol: float = 1e-9) -> bool:
 _NOISE_FACTOR = 4.0
 
 
-def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float,
-                  n_dirs: int, refine_gate: float) -> ComplementScan:
+def _scan_generic(grid: models.PropagatorGrid,
+                  cond_threshold: float) -> ComplementScan:
     e_t = grid.maps[:-1]
     e_te = grid.maps_shift
 
@@ -263,30 +258,12 @@ def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float,
     evals = np.linalg.eigvalsh(choi)
     cp_witness = evals[:, 0].copy()
     trace_norm = np.abs(evals).sum(axis=1)
-
-    ptm = qmat.pauli_transfer_matrix(lam)
-    dirs = qmat.fibonacci_sphere(n_dirs)
-    # screen every step against every direction
-    out = np.einsum("nij,dj->ndi", ptm[:, 1:, 1:], dirs) + ptm[:, None, 1:, 0]
-    tr = ptm[:, None, 0, 0] + np.einsum("nj,dj->nd", ptm[:, 0, 1:], dirs)
-    screened = 0.5 * (tr - np.linalg.norm(out, axis=-1))
-    p_witness = screened.min(axis=1)
-    # local refinement from the best screened direction; the positivity
-    # verdict only hinges on steps that already fail the CP test (CP implies
-    # P), so refinement concentrates there plus the overall worst step
-    needs = ~singular & (cp_witness < -refine_gate)
-    if (~singular).any():
-        worst = np.nanargmin(np.where(singular, np.nan, p_witness))
-        needs[worst] = True
-    if needs.any():
-        sel = np.flatnonzero(needs)
-        theta, phi = _sphere_angles(dirs)
-        best_dir = screened[sel].argmin(axis=1)
-        refined = _refine_witness(ptm[sel], theta[best_dir], phi[best_dir])
-        p_witness[sel] = np.minimum(p_witness[sel], refined)
+    # the inverted trace row carries noise of the noise floor's order; the
+    # kernel's -|F0| term turns it into a lower bound within that floor
+    p_witness = np.full(len(lam), np.nan)
+    p_witness[~singular] = _p_witness(qmat.pauli_transfer_matrix(lam[~singular]))
 
     cp_witness[singular] = np.nan
-    p_witness[singular] = np.nan
     trace_norm[singular] = np.nan
     return ComplementScan(grid.times[:-1], grid.eps, grid.dt,
                           cp_witness, p_witness, trace_norm, singular, noise)
@@ -347,7 +324,6 @@ def _scan_pauli(grid: models.PropagatorGrid) -> ComplementScan:
 def complement_scan(
     grid: models.PropagatorGrid,
     cond_threshold: float | None = None,
-    n_dirs: int = DEFAULT_DIRECTIONS,
     tolerances: config.Tolerances = config.DEFAULT,
 ) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
@@ -357,8 +333,7 @@ def complement_scan(
         return _scan_damping(grid)
     if grid.bloch_eigs is not None:
         return _scan_pauli(grid)
-    gate = 0.1 * tolerances.violation_per_eps * grid.eps
-    return _scan_generic(grid, cond_threshold, n_dirs, gate)
+    return _scan_generic(grid, cond_threshold)
 
 
 def verdict_from_scan(
@@ -402,7 +377,6 @@ def classify(
     epsilon: float | None = None,
     tol: float | None = None,
     cond_threshold: float | None = None,
-    n_dirs: int = DEFAULT_DIRECTIONS,
     tolerances: config.Tolerances = config.DEFAULT,
 ) -> DivisibilityVerdict:
     """Classify a process over ``[0, horizon]`` into PD0 / PD1 / PD2.
@@ -413,7 +387,7 @@ def classify(
     excluded from voting and reported in the verdict.
     """
     grid = models.propagator_grid(model, horizon, n_steps, epsilon, tolerances)
-    scan = complement_scan(grid, cond_threshold, n_dirs, tolerances)
+    scan = complement_scan(grid, cond_threshold, tolerances)
     return verdict_from_scan(scan, tol, tolerances)
 
 

@@ -185,9 +185,6 @@ class PauliChannelModel:
     def rates(self) -> tuple[RateFn, RateFn, RateFn]:
         return (self.g1, self.g2, self.g3)
 
-    def rate_values(self, t) -> np.ndarray:
-        return np.array([float(g(t)) for g in self.rates])
-
     def bloch_eigenvalues(self, times, tolerances: config.Tolerances = config.DEFAULT) -> np.ndarray:
         """Bloch scaling factors ``lambda_j(t) = exp(-Gamma_k - Gamma_l)``,
         ``(j, k, l)`` cyclic, on a sorted time grid; shape ``(len(times), 3)``.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, divisibility, measures, models
+from .errors import KdivisError
 
 __all__ = [
     "ParamRange",
@@ -189,7 +190,9 @@ def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
             blp=blp, rhp=rhp,
             singular_count=len(verdict.singular_times),
         )
-    except Exception as exc:  # every cell must terminate with a class or ERR
+    except (KdivisError, ValueError, ArithmeticError) as exc:
+        # a named physical or numerical failure paints the cell ERR; any
+        # other exception is a programming error and stops the sweep
         return CellResult(x=float(xv), y=float(yv), pd_class="ERR",
                           near_boundary=False, blp=None, rhp=None,
                           singular_count=0, error=str(exc) or type(exc).__name__)

@@ -108,6 +108,17 @@ def test_sweep_records_errors_per_cell():
     assert err_cell.error
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only physical and numerical failures become ERR cells; a TypeError is
+    # a bug and must stop the sweep instead of painting a white cell
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(sweep.models, "propagator_grid", broken)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        sweep.run_sweep(_tiny_ad_spec(), jobs=1)
+
+
 def test_conflicting_cell_count_rejected():
     spec = _tiny_ad_spec()
     cells = [CellResult(0, 0, "PD2", False, None, None, 0)] * 3
