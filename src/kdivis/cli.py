@@ -259,9 +259,6 @@ def _grid_spec(cfg: dict) -> sweep.GridSpec:
                          sweep_cfg["y"]["max"], sweep_cfg["y"]["n"])
     fixed = {k: v for k, v in model_cfg.items()
              if k != "family" and k not in (x.name, y.name)}
-    missing = _FAMILY_PARAMS[model_cfg["family"]] - {x.name, y.name} - set(fixed)
-    if missing:
-        raise RunConfigError(f"sweep is missing fixed parameter(s) {sorted(missing)}")
     try:
         return sweep.GridSpec(
             family=model_cfg["family"], x=x, y=y, fixed=fixed,
@@ -453,7 +450,7 @@ def main(argv=None) -> int:
     except figures.CellBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KdivisError, ValueError, KeyError) as exc:
+    except (KdivisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,8 @@ one that passes only the positivity test PD1, anything else PD0.
 
 Steps where the propagator is not invertible under the active condition
 threshold are skipped and reported, never silently pseudo-inverted.
+The batched scan reads a grid's real Pauli transfer matrices; the
+single-map functions take superoperators.
 """
 
 from __future__ import annotations
@@ -83,10 +85,11 @@ class ComplementScan:
 
     ``times`` holds the left endpoint of each complement step. Entries of
     the witness arrays are NaN where ``singular`` is set. ``noise_floor``
-    is the per-step numerical trust limit: on the generic matrix-inversion
-    path it scales with the propagator condition number, on the closed-form
-    fast paths it is zero. Witnesses smaller in magnitude than the floor do
-    not count as violations.
+    is the per-step numerical trust limit: on the generic path, which
+    inverts the grid's transfer matrices, it scales with their condition
+    number; on the closed form for diagonal-affine grids (Pauli and
+    amplitude-damping families) it is zero. Witnesses smaller in magnitude
+    than the floor do not count as violations.
     """
 
     times: np.ndarray
@@ -238,87 +241,62 @@ def is_positive_pauli_diagonal(mu, tol: float = 1e-9) -> bool:
 _NOISE_FACTOR = 4.0
 
 
-def _scan_generic(grid: models.PropagatorGrid,
-                  cond_threshold: float) -> ComplementScan:
-    e_t = grid.maps[:-1]
-    e_te = grid.maps_shift
-
-    u_svd, s, vh = np.linalg.svd(e_t)
-    smin = s[:, -1]
+def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float):
+    # the transfer matrix is a unitary change of basis of the superoperator,
+    # so it has the same singular values and condition number
+    u_svd, s, vh = np.linalg.svd(grid.ptm[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / smin
+        cond = s[:, 0] / s[:, -1]
     singular = ~np.isfinite(cond) | (cond > cond_threshold)
     noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
     s_safe = np.where(singular[:, None], 1.0, s)
-    inv = (vh.conj().transpose(0, 2, 1) / s_safe[:, None, :]) @ u_svd.conj().transpose(0, 2, 1)
-    lam = e_te @ inv
+    inv = (np.swapaxes(vh, 1, 2) / s_safe[:, None, :]) @ np.swapaxes(u_svd, 1, 2)
+    lam = grid.ptm_shift @ inv
 
-    choi = qmat.choi_of(lam)
-    choi = 0.5 * (choi + choi.conj().transpose(0, 2, 1))
-    evals = np.linalg.eigvalsh(choi)
-    cp_witness = evals[:, 0].copy()
-    trace_norm = np.abs(evals).sum(axis=1)
+    evals = np.linalg.eigvalsh(qmat.choi_of_ptm(lam))
     # the inverted trace row carries noise of the noise floor's order; the
     # kernel's -|F0| term turns it into a lower bound within that floor
     p_witness = np.full(len(lam), np.nan)
-    p_witness[~singular] = _p_witness(qmat.pauli_transfer_matrix(lam[~singular]))
-
-    cp_witness[singular] = np.nan
-    trace_norm[singular] = np.nan
-    return ComplementScan(grid.times[:-1], grid.eps, grid.dt,
-                          cp_witness, p_witness, trace_norm, singular, noise)
+    p_witness[~singular] = _p_witness(lam[~singular])
+    return evals[:, 0].copy(), p_witness, np.abs(evals).sum(axis=1), singular, noise
 
 
-def _scan_damping(grid: models.PropagatorGrid) -> ComplementScan:
-    """Closed-form scan for amplitude-damping grids.
+def _scan_diagonal(grid: models.PropagatorGrid):
+    """Closed-form witnesses of a diagonal-affine grid.
 
-    The complement of a damping map is the damping map with survival ratio
-    ``g = G(t+eps)/G(t)``; its Choi eigenvalues are ``(1 +- g^2)/2`` and 0,
-    and the worst output eigenvalue over pure states is ``min(0, 1 - g^2)``
-    (attained at the excited pole). Exact ratios avoid the ill-conditioned
-    matrix inversion near zeros of G, where the violations actually live.
+    The complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
+    ``mu = d(t+eps)/d(t)`` and ``c = c_z(t+eps) - mu_3 c_z(t)``, which avoids
+    the ill-conditioned inversion near zeros of the propagator. Its Choi
+    matrix has two 2x2 blocks with eigenvalues
+    ``((1 + mu_3) +- sqrt(c^2 + (mu_1 + mu_2)^2))/4`` and
+    ``((1 - mu_3) +- sqrt(c^2 + (mu_1 - mu_2)^2))/4``. With
+    ``m = max(mu_1^2, mu_2^2)``, the squared output Bloch length over the
+    unit sphere peaks at ``f(u_z) = m (1 - u_z^2) + (mu_3 u_z + c)^2``: at a
+    pole, ``(|mu_3| + |c|)^2``, or at the vertex ``m + c^2 m / (m - mu_3^2)``
+    when ``|mu_3 c| <= m - mu_3^2`` puts it inside ``[-1, 1]``.
     """
-    g_t = grid.survival[:-1]
+    axes = np.arange(1, 4)
+    d_t = grid.ptm[:-1, axes, axes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = grid.survival_shift / g_t
-    singular = ~np.isfinite(ratio) | (np.abs(g_t) < 1e-300)
-    r2 = ratio * ratio
-    cp_witness = np.minimum(0.0, 0.5 * (1.0 - r2))
-    p_witness = np.minimum(0.0, 1.0 - r2)
-    trace_norm = 0.5 * (1.0 + r2) + 0.5 * np.abs(1.0 - r2)
-    cp_witness[singular] = np.nan
-    p_witness[singular] = np.nan
-    trace_norm[singular] = np.nan
-    return ComplementScan(grid.times[:-1], grid.eps, grid.dt,
-                          cp_witness, p_witness, trace_norm, singular,
-                          np.zeros(len(g_t)))
+        mu = grid.ptm_shift[:, axes, axes] / d_t
+        c = grid.ptm_shift[:, 3, 0] - mu[:, 2] * grid.ptm[:-1, 3, 0]
+    singular = (~np.isfinite(mu) | (np.abs(d_t) < 1e-300)).any(axis=1) | ~np.isfinite(c)
+    mu[singular], c[singular] = 1.0, 0.0  # finite placeholders, masked later
+    m1, m2, m3 = mu.T
+    r_plus, r_minus = np.hypot(c, m1 + m2), np.hypot(c, m1 - m2)
+    levels = (1.0 + m3 - r_plus, 1.0 - m3 - r_minus, 1.0 - m3 + r_minus, 1.0 + m3 + r_plus)
 
-
-def _scan_pauli(grid: models.PropagatorGrid) -> ComplementScan:
-    """Closed-form scan for Pauli-diagonal grids.
-
-    The complement has Bloch eigenvalues ``mu_j = lambda_j(t+eps) /
-    lambda_j(t)``; its Choi eigenvalues are the four levels
-    ``(1 +- mu_1 +- mu_2 +- mu_3)/4`` with an even number of minus signs,
-    and positivity holds iff every ``|mu_j| <= 1``.
-    """
-    lam_t = grid.bloch_eigs[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = grid.bloch_eigs_shift / lam_t
-    singular = (~np.isfinite(mu) | (np.abs(lam_t) < 1e-300)).any(axis=1)
-    m1, m2, m3 = mu[:, 0], mu[:, 1], mu[:, 2]
-    levels = 0.25 * np.stack([
-        1.0 + m1 + m2 + m3, 1.0 + m1 - m2 - m3,
-        1.0 - m1 + m2 - m3, 1.0 - m1 - m2 + m3], axis=1)
-    cp_witness = levels.min(axis=1)
-    trace_norm = np.abs(levels).sum(axis=1)
-    p_witness = 0.5 * (1.0 - np.abs(mu).max(axis=1))
-    cp_witness[singular] = np.nan
-    p_witness[singular] = np.nan
-    trace_norm[singular] = np.nan
-    return ComplementScan(grid.times[:-1], grid.eps, grid.dt,
-                          cp_witness, p_witness, trace_norm, singular,
-                          np.zeros(len(lam_t)))
+    m = np.maximum(m1 * m1, m2 * m2)
+    k = m - m3 * m3
+    inside = (k > 0.0) & (np.abs(m3 * c) <= k)
+    # the vertex is the maximum when inside; the larger of the two candidates
+    # lets rounding only lower the witness
+    vertex = np.where(inside, m + c * c * m / np.where(inside, k, 1.0), 0.0)
+    reach2 = np.maximum((np.abs(m3) + np.abs(c)) ** 2, vertex)
+    trace_norm = 0.25 * (np.abs(levels[0]) + np.abs(levels[1]) + np.abs(levels[2])
+                         + np.abs(levels[3]))
+    return (0.25 * np.minimum(levels[0], levels[1]), 0.5 * (1.0 - np.sqrt(reach2)),
+            trace_norm, singular, np.zeros(len(d_t)))
 
 
 def complement_scan(
@@ -329,11 +307,14 @@ def complement_scan(
     """Witnesses of every complement step of a propagator grid."""
     if cond_threshold is None:
         cond_threshold = tolerances.cond_threshold
-    if grid.survival is not None:
-        return _scan_damping(grid)
-    if grid.bloch_eigs is not None:
-        return _scan_pauli(grid)
-    return _scan_generic(grid, cond_threshold)
+    if grid.diagonal:
+        cp, p, trace_norm, singular, noise = _scan_diagonal(grid)
+    else:
+        cp, p, trace_norm, singular, noise = _scan_generic(grid, cond_threshold)
+    for w in (cp, p, trace_norm):
+        w[singular] = np.nan
+    return ComplementScan(grid.times[:-1], grid.eps, grid.dt,
+                          cp, p, trace_norm, singular, noise)
 
 
 def verdict_from_scan(

@@ -63,12 +63,13 @@ def blp_from_grid(grid: models.PropagatorGrid, n_pairs: int) -> BlpResult:
     the Euclidean length of the evolved Bloch difference, ``|M_t u|``.
     """
     dirs = qmat.fibonacci_sphere(n_pairs)
-    m = qmat.pauli_transfer_matrix(grid.maps)[:, 1:, 1:]
-    evolved = (m.reshape(-1, 3) @ dirs.T).reshape(len(grid.maps), 3, n_pairs)
-    dist = np.sqrt((evolved * evolved).sum(axis=1))
+    m = grid.ptm[:, 1:, 1:]
+    evolved = (m.reshape(-1, 3) @ dirs.T).reshape(len(m), 3, n_pairs)
+    # in place: fresh arrays this size are page-faulted in on every call
+    dist = np.sqrt(np.square(evolved, out=evolved).sum(axis=1))
     inc = np.diff(dist, axis=0)
     sigma = inc / grid.dt
-    positive = np.clip(inc, 0.0, None).sum(axis=0)
+    positive = np.clip(inc, 0.0, None, out=inc).sum(axis=0)
     best = int(np.argmax(positive))
     return BlpResult(
         times=grid.times,

@@ -1,7 +1,9 @@
 """The four qubit dynamics families and their time-local propagators.
 
-Every model produces a family of qubit maps ``E_t`` (4x4 superoperators in
-the column-stacking convention of :mod:`kdivis.qmat`):
+Every model produces a family of qubit maps ``E_t``. Single maps are 4x4
+superoperators in the column-stacking convention of :mod:`kdivis.qmat`;
+time grids (:class:`PropagatorGrid`) hold the real Pauli transfer matrices
+that the divisibility scan and the measures work on:
 
 * :class:`PauliChannelModel` -- dephasing along the three Pauli axes with
   time-dependent rates; solved in closed form in the Pauli eigenbasis.
@@ -16,8 +18,10 @@ the column-stacking convention of :mod:`kdivis.qmat`):
   reservoir with cross-rate ``gamma0 * sin(x)/x``; the partner atom is
   traced out.
 
-The first two have analytic propagators; the composite ones evolve the
-joint two-qubit generator and trace out the environment factor.
+The first two have analytic propagators whose transfer matrices are
+diagonal-affine and are written directly; the composite ones evolve the
+joint two-qubit generator, trace out the environment factor and project the
+reduced maps onto the Pauli basis once.
 """
 
 from __future__ import annotations
@@ -204,13 +208,6 @@ def pauli_generator(model: PauliChannelModel, t: float) -> np.ndarray:
     for g, s in zip(model.rates, qmat.PAULIS[1:]):
         out += 0.5 * float(g(t)) * (qmat.sandwich_superop(s, s) - eye)
     return out
-
-
-def _pauli_diagonal_batch(lam: np.ndarray) -> np.ndarray:
-    """Stacked Pauli-diagonal superoperators from Bloch eigenvalue rows."""
-    weights = np.concatenate([np.ones((lam.shape[0], 1)), lam], axis=1)
-    cols = qmat._PAULI_COLS
-    return 0.5 * np.einsum("mk,ik,jk->mij", weights.astype(complex), cols, cols.conj())
 
 
 def pauli_propagator_analytic(
@@ -549,27 +546,35 @@ def reduced_propagator(
 @dataclass(frozen=True)
 class PropagatorGrid:
     """Propagators ``E_{t_i}`` on a uniform grid plus the shifted maps
-    ``E_{t_i + eps}`` needed for two-point complement steps.
+    ``E_{t_i + eps}`` needed for two-point complement steps, as real Pauli
+    transfer matrices ``F_mn = Tr(sigma_m E(sigma_n))/2``: ``F[1:, 1:]`` and
+    ``F[1:, 0]`` are the Bloch-affine form ``r -> M r + c``.
 
-    ``survival`` carries the amplitude-damping ``G`` values and
-    ``bloch_eigs`` the Pauli-diagonal eigenvalues when the model admits the
-    corresponding closed-form complement fast path (exact eigenvalue ratios
-    instead of ill-conditioned matrix inversion).
+    ``diagonal`` marks grids of diagonal-affine maps, ``M = diag(d)`` and
+    ``c = (0, 0, c_z)`` (Pauli and amplitude-damping families), whose
+    complements follow exactly from ratios instead of matrix inversion.
     """
 
     times: np.ndarray
     dt: float
     eps: float
-    maps: np.ndarray
-    maps_shift: np.ndarray
-    survival: np.ndarray | None = None
-    survival_shift: np.ndarray | None = None
-    bloch_eigs: np.ndarray | None = None
-    bloch_eigs_shift: np.ndarray | None = None
+    ptm: np.ndarray
+    ptm_shift: np.ndarray
+    diagonal: bool = False
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+
+def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
+    """Stacked transfer matrices of the maps ``r -> diag(d) r + (0, 0, c_z)``."""
+    out = np.zeros((len(d), 4, 4))
+    out[:, 0, 0] = 1.0
+    out[:, 3, 0] = c_z
+    axes = np.arange(1, 4)
+    out[:, axes, axes] = d
+    return out
 
 
 def propagator_grid(
@@ -593,28 +598,13 @@ def propagator_grid(
     on_grid = abs(eps - dt) <= 1e-12 * dt
 
     if isinstance(model, PauliChannelModel):
-        lam = model.bloch_eigenvalues(times, tolerances)
-        maps = _pauli_diagonal_batch(lam)
-        if on_grid:
-            lam_shift, shift = lam[1:], maps[1:]
-        else:
-            lam_shift = model.bloch_eigenvalues(times[:-1] + eps, tolerances)
-            shift = _pauli_diagonal_batch(lam_shift)
-        return PropagatorGrid(times, dt, eps, maps, shift,
-                              bloch_eigs=lam, bloch_eigs_shift=lam_shift)
-
-    if isinstance(model, AmplitudeDampingModel):
-        g = model.survival(times)
-        maps = damping_superop(g)
-        if on_grid:
-            g_shift, shift = g[1:], maps[1:]
-        else:
-            g_shift = model.survival(times[:-1] + eps)
-            shift = damping_superop(g_shift)
-        return PropagatorGrid(times, dt, eps, maps, shift,
-                              survival=g, survival_shift=g_shift)
-
-    if isinstance(model, (CnotControlModel, SuperradianceModel)):
+        def diagonal_ptm(ts):
+            return _diagonal_ptm(model.bloch_eigenvalues(ts, tolerances), 0.0)
+    elif isinstance(model, AmplitudeDampingModel):
+        def diagonal_ptm(ts):
+            g = model.survival(ts)
+            return _diagonal_ptm(np.stack([g, g, g * g], axis=1), 1.0 - g * g)
+    elif isinstance(model, (CnotControlModel, SuperradianceModel)):
         gen = model.joint_generator()
         cols = _joint_basis_columns(model.env_state(), model.env_factor)
         step = expm(gen * dt)
@@ -622,16 +612,19 @@ def propagator_grid(
         joint[0] = cols
         for i in range(n_steps):
             joint[i + 1] = step @ joint[i]
-        maps = _reduce_joint_columns(joint, model.env_factor)
+        ptm = qmat.pauli_transfer_matrix(_reduce_joint_columns(joint, model.env_factor))
         if on_grid:
-            shift = maps[1:]
+            shift = ptm[1:]
         else:
             step_eps = expm(gen * eps)
-            shift = _reduce_joint_columns(
-                np.einsum("ij,njk->nik", step_eps, joint[:-1]), model.env_factor)
-        return PropagatorGrid(times, dt, eps, maps, shift)
-
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+            shift = qmat.pauli_transfer_matrix(_reduce_joint_columns(
+                np.einsum("ij,njk->nik", step_eps, joint[:-1]), model.env_factor))
+        return PropagatorGrid(times, dt, eps, ptm, shift)
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    ptm = diagonal_ptm(times)
+    shift = ptm[1:] if on_grid else diagonal_ptm(times[:-1] + eps)
+    return PropagatorGrid(times, dt, eps, ptm, shift, diagonal=True)
 
 
 # ---------------------------------------------------------------------------

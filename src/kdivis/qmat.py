@@ -142,6 +142,20 @@ def choi_of(e: np.ndarray) -> np.ndarray:
     return reshuffle(e) / 2.0
 
 
+#: ``sigma_n^T o sigma_m / 4`` at index ``4m + n``
+_CHOI_OF_PTM = 0.25 * np.stack([np.kron(sn.T, sm) for sm in PAULIS for sn in PAULIS])
+
+
+def choi_of_ptm(f: np.ndarray) -> np.ndarray:
+    """:func:`choi_of` from the real Pauli transfer matrix ``F`` of a map,
+    ``sum_mn F_mn sigma_n^T o sigma_m / 4``; supports stacked input.
+
+    An einsum, because a matrix product would go to threaded BLAS.
+    """
+    f = np.asarray(f, dtype=float)
+    return np.einsum("...k,kij->...ij", f.reshape(*f.shape[:-2], 16), _CHOI_OF_PTM)
+
+
 def superop_of_choi(c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`choi_of`."""
     return reshuffle(c) * 2.0

@@ -92,6 +92,11 @@ class GridSpec:
                 raise ValueError("axis range must have min < max")
         if self.x.name == self.y.name:
             raise ValueError("the two axes must bind different parameters")
+        axes, fixed = {self.x.name, self.y.name}, set(self.fixed)
+        for problem, keys in (("unknown", fixed - set(names)), ("axis-shadowing", axes & fixed),
+                              ("missing", set(names) - axes - fixed)):
+            if keys:
+                raise ValueError(f"sweep has {problem} fixed parameter(s) {sorted(keys)}")
         for key, val in self.fixed.items():
             # fixed values cross process boundaries and serialize to JSON
             if not isinstance(val, (str, int, float)):

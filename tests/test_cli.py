@@ -161,3 +161,25 @@ def test_sweep_missing_blocks_is_config_error(tmp_path, capsys):
                                           "lambda": 1.0},
                                 "run": {"horizon": 5.0}}))
     assert main(["sweep", "--config", str(path)]) == 1
+
+
+def test_sweep_missing_fixed_parameter_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"family": "cnot"},
+        "sweep": {"x": {"name": "gamma", "min": 0.01, "max": 1.0, "n": 2},
+                  "y": {"name": "a", "min": 0.0, "max": 1.0, "n": 2}},
+        "run": {"horizon": 2.0, "steps": 20}}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert "missing fixed parameter(s) ['J']" in capsys.readouterr().err
+
+
+def test_main_propagates_programming_errors(monkeypatch):
+    # only config, model and numerical failures map to exit codes; a
+    # KeyError is a bug and must surface instead of becoming exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("unexpected key")
+
+    monkeypatch.setattr(cli.divisibility, "classify", broken)
+    with pytest.raises(KeyError, match="unexpected key"):
+        main(["classify", "hall"])

@@ -333,14 +333,13 @@ def test_cp_divisible_models_have_clean_scans():
 
 
 def test_scan_fast_paths_agree_with_generic():
-    # strip the fast-path payloads to force the matrix-inversion route
+    # clear the diagonal flag to force the matrix-inversion route
     for model, horizon in ((models.PauliChannelModel.hall(), 4.0),
                            (models.AmplitudeDampingModel(2.0, 1.0), 4.0)):
         grid = models.propagator_grid(model, horizon, 100)
         fast = divisibility.complement_scan(grid)
         import dataclasses
-        stripped = dataclasses.replace(grid, survival=None, survival_shift=None,
-                                       bloch_eigs=None, bloch_eigs_shift=None)
+        stripped = dataclasses.replace(grid, diagonal=False)
         generic = divisibility.complement_scan(stripped)
         ok = ~generic.singular & (generic.noise_floor < 1e-9)
         assert ok.sum() > 50
@@ -350,13 +349,52 @@ def test_scan_fast_paths_agree_with_generic():
         assert_allclose(fast.p_witness[ok], generic.p_witness[ok], atol=1e-8)
 
 
+def _diagonal_complements(rng, kind, n):
+    """Bloch diagonals ``mu`` and z offsets ``c`` of diagonal-affine maps."""
+    if kind == "ad":
+        r = rng.uniform(-1.5, 1.5, n)
+        return np.stack([r, r, r * r], axis=1), 1.0 - r * r
+    mu = rng.uniform(-1.5, 1.5, (n, 3))
+    c = np.zeros(n) if kind == "pauli" else rng.uniform(-1.5, 1.5, n)
+    return mu, c
+
+
+@pytest.mark.parametrize("kind", ["pauli", "ad", "general"])
+def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
+    # grid maps F_t with random diagonals and offsets, shifted maps L F_t:
+    # the closed form must recover each L from the ratios and match the
+    # single-map tests on its superoperator
+    n = 300
+    mu, c = _diagonal_complements(rng, kind, n)
+    d_t = rng.uniform(0.2, 1.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+    c_t = rng.uniform(-0.5, 0.5, n)
+    grid = models.PropagatorGrid(
+        times=np.arange(n + 1.0), dt=1.0, eps=1.0,
+        ptm=models._diagonal_ptm(np.vstack([d_t, np.ones(3)]), np.append(c_t, 0.0)),
+        ptm_shift=models._diagonal_ptm(mu * d_t, c + mu[:, 2] * c_t),
+        diagonal=True)
+    scan = divisibility.complement_scan(grid)
+    assert not scan.singular.any()
+    a = qmat._PAULI_COLS
+    superops = 0.5 * (a @ models._diagonal_ptm(mu, c) @ a.conj().T)
+    for i, e in enumerate(superops):
+        assert_allclose(scan.cp_witness[i], divisibility.is_cp(e)[1], rtol=0, atol=1e-12)
+        assert_allclose(scan.p_witness[i], divisibility.is_positive(e)[1], rtol=0, atol=1e-12)
+        assert_allclose(scan.choi_trace_norm[i], qmat.trace_norm(qmat.choi_of(e)),
+                        rtol=0, atol=1e-12)
+    # both branches of the positivity closed form are exercised
+    m = np.maximum(mu[:, 0] ** 2, mu[:, 1] ** 2)
+    inside = np.abs(mu[:, 2] * c) <= m - mu[:, 2] ** 2
+    assert inside.sum() > 20 and (~inside).sum() > 20
+
+
 def test_singular_steps_reported_and_excluded():
     # force the generic path on a long amplitude-damping horizon: deep decay
     # exceeds the condition threshold and those steps are skipped
     import dataclasses
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, survival=None, survival_shift=None)
+    stripped = dataclasses.replace(grid, diagonal=False)
     scan = divisibility.complement_scan(stripped)
     assert scan.singular.any() and not scan.singular.all()
     verdict = divisibility.verdict_from_scan(scan)
@@ -369,7 +407,7 @@ def test_all_steps_singular_raises():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 10.0, 50)
     import dataclasses
-    stripped = dataclasses.replace(grid, survival=None, survival_shift=None)
+    stripped = dataclasses.replace(grid, diagonal=False)
     with pytest.raises(AllStepsSingular):
         scan = divisibility.complement_scan(stripped, cond_threshold=0.5)
         divisibility.verdict_from_scan(scan)

@@ -49,11 +49,10 @@ def test_blp_trace_distance_matches_trace_norm_path():
         rho_plus = qmat.density_from_bloch(dirs[p])
         rho_minus = qmat.density_from_bloch(-dirs[p])
         for i in (0, 20, 50):
-            direct = qmat.trace_distance(
-                qmat.apply_superop(grid.maps[i], rho_plus),
-                qmat.apply_superop(grid.maps[i], rho_minus))
-            m = qmat.pauli_transfer_matrix(grid.maps[i])[1:, 1:]
-            shortcut = np.linalg.norm(m @ dirs[p])
+            e = models.amplitude_damping_propagator(model, grid.times[i])
+            direct = qmat.trace_distance(qmat.apply_superop(e, rho_plus),
+                                         qmat.apply_superop(e, rho_minus))
+            shortcut = np.linalg.norm(grid.ptm[i, 1:, 1:] @ dirs[p])
             assert_allclose(direct, shortcut, atol=1e-10)
 
 
@@ -191,7 +190,7 @@ def test_rhp_skips_singular_steps():
     import dataclasses
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, survival=None, survival_shift=None)
+    stripped = dataclasses.replace(grid, diagonal=False)
     scan = divisibility.complement_scan(stripped)
     assert scan.singular.any()
     result = measures.rhp_from_scan(scan)

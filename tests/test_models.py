@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from kdivis import models, qmat
@@ -398,15 +399,15 @@ def test_grid_matches_pointwise_constructions():
     grid = models.propagator_grid(pauli, horizon, n)
     for i in (0, 17, n):
         t = grid.times[i]
-        assert_allclose(grid.maps[i], models.pauli_propagator_analytic(pauli, t),
-                        atol=1e-12)
+        assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
+            models.pauli_propagator_analytic(pauli, t)), atol=1e-12)
 
     ad = models.AmplitudeDampingModel(2.0, 1.0)
     grid = models.propagator_grid(ad, horizon, n)
     for i in (0, 31, n):
         t = grid.times[i]
-        assert_allclose(grid.maps[i], models.amplitude_damping_propagator(ad, t),
-                        atol=1e-12)
+        assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
+            models.amplitude_damping_propagator(ad, t)), atol=1e-12)
 
 
 def test_grid_composite_matches_reduced_propagator():
@@ -417,22 +418,21 @@ def test_grid_composite_matches_reduced_propagator():
         t = grid.times[i]
         ref = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                         t, steps=int(800 * t))
-        assert np.abs(grid.maps[i] - ref).max() < 1e-6
+        assert np.abs(grid.ptm[i] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
 def test_grid_shift_off_grid_epsilon():
     model = models.PauliChannelModel.hall()
     grid = models.propagator_grid(model, 2.0, 40, eps=0.01)
     assert grid.eps == 0.01
-    assert_allclose(grid.maps_shift[8],
-                    models.pauli_propagator_analytic(model, grid.times[8] + 0.01),
-                    atol=1e-12)
+    assert_allclose(grid.ptm_shift[8], qmat.pauli_transfer_matrix(
+        models.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
     cn = models.CnotControlModel(1.0, 0.1, 0.5)
     grid = models.propagator_grid(cn, 2.0, 40, eps=0.01)
     gen = models.joint_generator(cn)
     ref = models.reduced_propagator(gen, cn.env_state(), cn.env_factor,
                                     grid.times[8] + 0.01, steps=600)
-    assert np.abs(grid.maps_shift[8] - ref).max() < 1e-6
+    assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
 def test_grid_maps_are_tp_and_hp_for_all_families():
@@ -444,16 +444,27 @@ def test_grid_maps_are_tp_and_hp_for_all_families():
     ]
     for model, horizon in cases:
         grid = models.propagator_grid(model, horizon, 120)
-        for i in range(0, 121, 24):
-            assert _is_tp(grid.maps[i]), type(model).__name__
-            assert qmat.is_hermiticity_preserving(grid.maps[i], 1e-10)
+        # a trace-preserving transfer matrix has first row (1, 0, 0, 0)
+        assert grid.ptm.dtype == float
+        assert_allclose(grid.ptm[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (121, 1)),
+                        atol=1e-10, err_msg=type(model).__name__)
+        if isinstance(model, (models.CnotControlModel, models.SuperradianceModel)):
+            # the real projection drops any anti-Hermitian part, so Hermiticity
+            # is checked on the reduced superoperators before it
+            cols = models._joint_basis_columns(model.env_state(), model.env_factor)
+            gen = model.joint_generator()
+            joint = np.stack([expm(gen * t) @ cols for t in grid.times[::24]])
+            for e in models._reduce_joint_columns(joint, model.env_factor):
+                assert _is_tp(e), type(model).__name__
+                assert qmat.is_hermiticity_preserving(e, 1e-10)
 
 
 def test_superradiance_ground_env_population_decays():
     model = models.SuperradianceModel(gamma0=1.0, x=2.2, a=0.0)
     grid = models.propagator_grid(model, 8.0, 160)
-    excited = np.diag([0.0, 1.0]).astype(complex)
-    pops = [qmat.apply_superop(e, excited)[1, 1].real for e in grid.maps]
+    # Pauli coordinates Tr(sigma_m rho) of the excited state and its image
+    out = grid.ptm @ np.array([1.0, 0.0, 0.0, -1.0])
+    pops = 0.5 * (out[:, 0] - out[:, 3])
     assert (np.diff(pops) <= 1e-10).all()
 
 

@@ -201,6 +201,15 @@ def test_choi_trace_one_for_tp_maps(rng):
         assert np.abs(c - c.conj().T).max() < 1e-12
 
 
+def test_choi_of_ptm_matches_choi_of(rng):
+    # Hermiticity-preserving maps, trace-preserving or not, have real PTMs
+    maps = np.array([random_cptp_map(rng) if k % 3 == 0 else
+                     (1.0 + k / 40) * random_hp_tp_map(rng) for k in range(60)])
+    f = qmat.pauli_transfer_matrix(maps)
+    assert_allclose(qmat.choi_of_ptm(f), qmat.choi_of(maps), rtol=0, atol=1e-12)
+    assert_allclose(qmat.choi_of_ptm(f[7]), qmat.choi_of(maps[7]), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------

@@ -37,6 +37,27 @@ def test_grid_spec_validation():
         _tiny_ad_spec(y=ParamRange("gamma0", 0.1, 1.0, 4))  # duplicate axis
 
 
+def _cnot_spec(fixed):
+    return GridSpec(family="cnot", x=ParamRange("gamma", 0.01, 1.0, 3),
+                    y=ParamRange("a", 0.0, 1.0, 3), fixed=fixed,
+                    horizon=2.0, n_steps=50)
+
+
+def test_grid_spec_rejects_missing_fixed_parameter():
+    with pytest.raises(ValueError, match=r"missing fixed parameter\(s\) \['J'\]"):
+        _cnot_spec({})
+
+
+def test_grid_spec_rejects_unknown_fixed_parameter():
+    with pytest.raises(ValueError, match="Jtypo"):
+        _cnot_spec({"J": 1.0, "Jtypo": 5.0})
+
+
+def test_grid_spec_rejects_fixed_parameter_shadowing_an_axis():
+    with pytest.raises(ValueError, match="gamma"):
+        _cnot_spec({"J": 1.0, "gamma": 0.5})
+
+
 def test_cell_model_binds_axes():
     spec = _tiny_ad_spec()
     model = spec.cell_model(0.7, 1.1)
