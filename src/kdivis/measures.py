@@ -2,8 +2,14 @@
 
 The BLP measure accumulates every increase of the trace distance between an
 evolved pair of states, maximized over a deterministic family of antipodal
-pure pairs. The RHP measure integrates the trace-norm excess of the
-complement map's Choi matrix,
+pure pairs. For the pair along ``u`` the distance is ``|M_t u|``, read from
+the Gram matrix of the Bloch part of the propagator as
+``sqrt(max(u^T M_t^T M_t u, 0))``. One kernel serves every model family; it
+walks time in blocks whose temporaries stay within 64 KiB, so a call reuses
+heap memory instead of page-faulting fresh mappings.
+
+The RHP measure integrates the trace-norm excess of the complement map's
+Choi matrix,
 
     g(t) = (|| choi(L_{t+eps,t}) ||_1 - 1) / eps,
 
@@ -13,6 +19,7 @@ time grid as the classifier.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +40,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlpResult:
+    """BLP measure of one grid, with the per-step rates derived on demand.
+
+    The result keeps the ``(n_steps + 1, 6)`` Gram rows of the propagators
+    rather than the ``(n_steps, n_pairs)`` rate series, so callers that read
+    only ``measure`` never build the series.
+    """
+
     #: grid times, length n_steps + 1
     times: np.ndarray
-    #: sampled antipodal pair directions, shape (n_pairs, 3)
+    #: grid spacing
+    dt: float
+    #: sampled antipodal pair directions, shape (n_pairs, 3), read-only
     directions: np.ndarray
-    #: discrete trace-distance rate per step and pair, shape (n_steps, n_pairs)
-    sigma_series: np.ndarray
+    #: upper triangle (xx, xy, xz, yy, yz, zz) of M_t^T M_t per grid time,
+    #: shape (n_steps + 1, 6)
+    gram: np.ndarray
     #: max over pairs of the summed positive trace-distance increments
     measure: float
     #: Bloch direction of the maximizing pair
     argmax_pair: np.ndarray
+
+    @property
+    def sigma_series(self) -> np.ndarray:
+        """Discrete trace-distance rate per step and pair, shape (n_steps, n_pairs)."""
+        dist = np.empty((len(self.gram), len(self.directions)))
+        _pair_distances(self.gram, _gram_weights(self.directions), dist)
+        return np.diff(dist, axis=0) / self.dt
 
 
 @dataclass(frozen=True)
@@ -56,26 +80,74 @@ class RhpResult:
     singular_times: list[float]
 
 
+#: elements of one BLP time-block temporary: 8192 float64 are 64 KiB, half
+#: of glibc's default mmap threshold, so the blocks come from the heap and
+#: are not mapped and page-faulted afresh on every call
+_BLOCK_ELEMS = 8192
+
+#: row and column of each Gram entry, in the order of the pair weights
+_GRAM_ROW, _GRAM_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+
+
+def _gram_weights(dirs: np.ndarray) -> np.ndarray:
+    """Weights ``(x², 2xy, 2xz, y², 2yz, z²)`` per direction, shape (6, n),
+    so that ``gram @ weights`` is ``|M u|²`` for every direction ``u``."""
+    x, y, z = dirs.T
+    return np.stack([x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z])
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_directions(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fibonacci pair directions and their Gram weights, shared read-only."""
+    dirs = qmat.fibonacci_sphere(n_pairs)
+    weights = _gram_weights(dirs)
+    dirs.flags.writeable = weights.flags.writeable = False
+    return dirs, weights
+
+
+def _pair_distances(gram: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """Trace distances ``sqrt(max(G_t · w_u, 0))`` of every pair, into ``out``.
+
+    The clip absorbs rounding that leaves ``|M u|²`` just below zero when
+    ``M u`` nearly vanishes."""
+    np.matmul(gram, weights, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+
+
 def blp_from_grid(grid: models.PropagatorGrid, n_pairs: int) -> BlpResult:
     """BLP data from precomputed propagators.
 
     For an antipodal pure pair along ``u`` the evolved trace distance equals
     the Euclidean length of the evolved Bloch difference, ``|M_t u|``.
     """
-    dirs = qmat.fibonacci_sphere(n_pairs)
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    dirs, weights = _pair_directions(n_pairs)
     m = grid.ptm[:, 1:, 1:]
-    evolved = (m.reshape(-1, 3) @ dirs.T).reshape(len(m), 3, n_pairs)
-    # in place: fresh arrays this size are page-faulted in on every call
-    dist = np.sqrt(np.square(evolved, out=evolved).sum(axis=1))
-    inc = np.diff(dist, axis=0)
-    sigma = inc / grid.dt
-    positive = np.clip(inc, 0.0, None, out=inc).sum(axis=0)
-    best = int(np.argmax(positive))
+    # (M^T M)_ij = sum_k M_ki M_kj, as elementwise products over the grid
+    gram = sum(m[:, k, _GRAM_ROW] * m[:, k, _GRAM_COL] for k in range(3))
+    rows = max(1, _BLOCK_ELEMS // n_pairs - 1)
+    # row 0 of dist carries the last distance of the previous block; row 0
+    # of inc carries the running sum, so the increments add up in time
+    # order whatever the block size
+    dist = np.empty((rows + 1, n_pairs))
+    inc = np.zeros((rows + 1, n_pairs))
+    _pair_distances(gram[:1], weights, dist[:1])
+    for start in range(1, len(gram), rows):
+        k = min(rows, len(gram) - start)
+        _pair_distances(gram[start:start + k], weights, dist[1:k + 1])
+        np.subtract(dist[1:k + 1], dist[:k], out=inc[1:k + 1])
+        np.maximum(inc[1:k + 1], 0.0, out=inc[1:k + 1])
+        inc[0] = inc[:k + 1].sum(axis=0)
+        dist[0] = dist[k]
+    best = int(np.argmax(inc[0]))
     return BlpResult(
         times=grid.times,
+        dt=grid.dt,
         directions=dirs,
-        sigma_series=sigma,
-        measure=float(positive[best]),
+        gram=gram,
+        measure=float(inc[0, best]),
         argmax_pair=dirs[best],
     )
 
@@ -93,8 +165,6 @@ def blp_measure(
     directions, so the result is a reproducible lower bound to the full
     pair-optimized measure.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     grid = models.propagator_grid(model, horizon, n_steps, tolerances=tolerances)
     return blp_from_grid(grid, n_pairs)
 

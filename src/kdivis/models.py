@@ -51,6 +51,7 @@ __all__ = [
     "joint_generator",
     "reduced_propagator",
     "propagate_rk4",
+    "check_time_grid",
     "propagator_grid",
     "model_from_params",
     "model_params",
@@ -577,6 +578,23 @@ def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
     return out
 
 
+def check_time_grid(horizon: float, n_steps: int,
+                    eps: float | None = None) -> tuple[float, float]:
+    """Grid spacing ``dt`` and complement step ``eps`` (default ``dt``) of a
+    uniform grid over ``[0, horizon]``; raises ``ValueError`` when the grid
+    or the step is invalid."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    dt = horizon / n_steps
+    if eps is None:
+        eps = dt
+    if not 0.0 < eps <= dt * (1.0 + 1e-12):
+        raise ValueError("epsilon must lie in (0, horizon/n_steps]")
+    return dt, eps
+
+
 def propagator_grid(
     model,
     horizon: float,
@@ -585,16 +603,8 @@ def propagator_grid(
     tolerances: config.Tolerances = config.DEFAULT,
 ) -> PropagatorGrid:
     """Build the propagator family of a model on a uniform time grid."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    dt = horizon / n_steps
+    dt, eps = check_time_grid(horizon, n_steps, eps)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    if eps is None:
-        eps = dt
-    if not 0.0 < eps <= dt * (1.0 + 1e-12):
-        raise ValueError("epsilon must lie in (0, horizon/n_steps]")
     on_grid = abs(eps - dt) <= 1e-12 * dt
 
     if isinstance(model, PauliChannelModel):

@@ -103,6 +103,9 @@ class GridSpec:
                 raise ValueError(
                     f"fixed parameter {key!r} must be a number or a rate "
                     f"vocabulary string, got {type(val).__name__}")
+        models.check_time_grid(self.horizon, self.n_steps, self.epsilon)
+        if self.n_pairs < 1:
+            raise ValueError("n_pairs must be >= 1")
 
     def cell_model(self, xv: float, yv: float):
         params = dict(self.fixed)

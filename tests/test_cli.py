@@ -174,6 +174,20 @@ def test_sweep_missing_fixed_parameter_is_config_error(tmp_path, capsys):
     assert "missing fixed parameter(s) ['J']" in capsys.readouterr().err
 
 
+def test_sweep_epsilon_beyond_grid_step_is_config_error(tmp_path, capsys):
+    # the schema only requires epsilon > 0; a step longer than
+    # horizon/steps would fail every cell, so the spec is rejected up front
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"family": "ad"},
+        "sweep": {"x": {"name": "gamma0", "min": 0.5, "max": 1.0, "n": 2},
+                  "y": {"name": "lambda", "min": 0.5, "max": 1.0, "n": 2}},
+        "run": {"horizon": 2.0, "steps": 20, "epsilon": 0.5}}))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert "epsilon must lie in (0, horizon/n_steps]" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_main_propagates_programming_errors(monkeypatch):
     # only config, model and numerical failures map to exit codes; a
     # KeyError is a bug and must surface instead of becoming exit 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,89 @@ def test_blp_trace_distance_matches_trace_norm_path():
 def test_blp_requires_at_least_one_pair():
     with pytest.raises(ValueError):
         measures.blp_measure(models.PauliChannelModel.hall(), 1.0, n_pairs=0)
+
+
+_BLP_MODELS = {
+    "pauli": (models.PauliChannelModel.hall(), 10.0),
+    "ad": (models.AmplitudeDampingModel(gamma0=2.0, lam=1.0), 20.0),
+    "cnot": (models.CnotControlModel(J=1.0, gamma=0.1, a=0.5), 10.0),
+    "superradiance": (models.SuperradianceModel(gamma0=1.0, x=np.pi / 2, a=0.5), 10.0),
+}
+
+
+def _direct_blp(grid, dirs):
+    """Reference: trace distances as the norms |M_t u| of the evolved Bloch
+    differences, without the Gram form or time blocks."""
+    dist = np.linalg.norm(grid.ptm[:, 1:, 1:] @ dirs.T, axis=1)
+    inc = np.diff(dist, axis=0)
+    positive = np.clip(inc, 0.0, None).sum(axis=0)
+    return positive, inc / grid.dt
+
+
+@pytest.mark.parametrize("family", list(_BLP_MODELS))
+def test_blp_matches_direct_bloch_norm(family):
+    model, horizon = _BLP_MODELS[family]
+    # time blocks of max(1, 8192 // n_pairs - 1) rows: 127-row blocks at
+    # 500 steps and 64 pairs; 80-row blocks at 1000 steps and 100 pairs, so
+    # the last block is partial; one row per block past 8192 pairs
+    for n_steps, n_pairs in ((500, 64), (1000, 100), (40, 8193)):
+        grid = models.propagator_grid(model, horizon, n_steps)
+        result = measures.blp_from_grid(grid, n_pairs)
+        positive, sigma = _direct_blp(grid, result.directions)
+        assert_allclose(result.measure, positive.max(), rtol=0, atol=1e-12)
+        best = int(np.argmax(result.directions @ result.argmax_pair))
+        assert_allclose(positive[best], positive.max(), rtol=0, atol=1e-12)
+        assert_allclose(result.sigma_series, sigma, rtol=0, atol=1e-12)
+
+
+def test_blp_gram_form_on_general_bloch_maps():
+    # M^T M is diagonal for all four model families, so random maps are what
+    # exercise the off-diagonal Gram weights; the projectors I - u u^T kill
+    # each pair direction, where rounding leaves u^T M^T M u up to ~1e-16
+    # below zero and the clipped square root is accurate to ~sqrt(macheps)
+    rng = np.random.default_rng(5)
+    dirs = qmat.fibonacci_sphere(16)
+    bloch = [rng.normal(size=(3, 3)) / 3 for _ in range(40)]
+    bloch += [np.eye(3) - np.outer(u, u) for u in dirs]
+    ptm = np.zeros((len(bloch), 4, 4))
+    ptm[:, 0, 0] = 1.0
+    ptm[:, 1:, 1:] = bloch
+    grid = models.PropagatorGrid(times=np.arange(len(bloch), dtype=float), dt=1.0,
+                                 eps=1.0, ptm=ptm, ptm_shift=ptm[1:])
+    result = measures.blp_from_grid(grid, 16)
+    positive, sigma = _direct_blp(grid, dirs)
+    assert_allclose(result.sigma_series[:39], sigma[:39], rtol=0, atol=1e-12)
+    assert_allclose(result.sigma_series, sigma, rtol=0, atol=1e-7)
+    assert_allclose(result.measure, positive.max(), rtol=0, atol=1e-7)
+
+
+def test_blp_directions_cached_read_only_and_calls_repeat():
+    grid = models.propagator_grid(models.AmplitudeDampingModel(2.0, 1.0), 20.0, 300)
+    first = measures.blp_from_grid(grid, 16)
+    second = measures.blp_from_grid(grid, 16)
+    assert first.directions is second.directions
+    np.testing.assert_array_equal(first.directions, qmat.fibonacci_sphere(16))
+    for arr in (first.directions, first.argmax_pair):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert first.measure == second.measure
+    np.testing.assert_array_equal(first.argmax_pair, second.argmax_pair)
+    np.testing.assert_array_equal(first.sigma_series, second.sigma_series)
+
+
+def test_blp_from_grid_peak_allocation():
+    # every temporary stays below glibc's mmap threshold, so a call reuses
+    # heap memory instead of page-faulting fresh mappings; the evolved
+    # (n+1, 3, n_pairs) tensor alone would be 752 KiB here
+    grid = models.propagator_grid(models.AmplitudeDampingModel(2.0, 1.0), 100.0, 500)
+    measures.blp_from_grid(grid, 64)
+    tracemalloc.start()
+    try:
+        measures.blp_from_grid(grid, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

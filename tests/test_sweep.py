@@ -37,6 +37,17 @@ def test_grid_spec_validation():
         _tiny_ad_spec(y=ParamRange("gamma0", 0.1, 1.0, 4))  # duplicate axis
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"horizon": 0.0}, {"horizon": -1.0}, {"n_steps": 1},
+    {"epsilon": 0.0}, {"epsilon": -0.1}, {"epsilon": 0.3},  # dt = 40/200 = 0.2
+    {"n_pairs": 0},
+], ids=["horizon0", "horizon-neg", "steps1", "eps0", "eps-neg", "eps-over-dt", "pairs0"])
+def test_grid_spec_rejects_invalid_run_parameters(kwargs):
+    with pytest.raises(ValueError):
+        _tiny_ad_spec(**kwargs)
+    _tiny_ad_spec(epsilon=0.2, n_pairs=1)  # the edges of the valid ranges
+
+
 def _cnot_spec(fixed):
     return GridSpec(family="cnot", x=ParamRange("gamma", 0.01, 1.0, 3),
                     y=ParamRange("a", 0.0, 1.0, 3), fixed=fixed,
