@@ -244,6 +244,10 @@ def _run_block(cfg: dict) -> dict:
     run.setdefault("detection", None)
     run.setdefault("jobs", None)
     run.setdefault("measures", False)
+    try:
+        models.check_time_grid(run["horizon"], run["steps"], run["epsilon"])
+    except ValueError as exc:
+        raise RunConfigError(str(exc)) from exc
     return run
 
 

@@ -19,9 +19,14 @@ that the divisibility scan and the measures work on:
   traced out.
 
 The first two have analytic propagators whose transfer matrices are
-diagonal-affine and are written directly; the composite ones evolve the
-joint two-qubit generator, trace out the environment factor and project the
-reduced maps onto the Pauli basis once.
+diagonal-affine and are written directly. The composite ones are built in
+real arithmetic in the orthonormal two-qubit Pauli basis
+``sigma_a x sigma_b / 2``, where the Hermiticity-preserving joint generator
+is a real 16x16 matrix: one ``expm`` of the time step, propagated by
+doubling, and the reduced transfer matrices are the rows with the identity
+on the environment factor, since the partial trace keeps exactly those.
+:func:`reduced_propagator` keeps the complex superoperator route as the RK4
+oracle.
 """
 
 from __future__ import annotations
@@ -320,17 +325,53 @@ def _lk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, a)
 
 
-def _dissipator(l_op: np.ndarray) -> np.ndarray:
-    d = l_op.shape[0]
-    eye = np.eye(d, dtype=complex)
-    ldl = l_op.conj().T @ l_op
-    return (_lk(l_op, l_op.conj().T)
-            - 0.5 * (_lk(ldl, eye) + _lk(eye, ldl)))
-
-
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     eye = np.eye(h.shape[0], dtype=complex)
     return -1j * (_lk(h, eye) - _lk(eye, h))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _cnot_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Generator terms of :class:`CnotControlModel` at ``J = 1`` and at
+    ``gamma = 1``: the C-NOT-type interaction and the target's depolarizing."""
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    ham = _hamiltonian_superop(0.5 * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY)))
+    eye16 = np.eye(16, dtype=complex)
+    dep = np.zeros((16, 16), dtype=complex)
+    for s in qmat.PAULIS[1:]:
+        s_t = np.kron(qmat.IDENTITY, s)
+        dep += 0.5 * (_lk(s_t, s_t) - eye16)
+    return _frozen(ham), _frozen(dep)
+
+
+def _superradiance_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Generator terms of :class:`SuperradianceModel` at unit rates: the
+    independent decays of the two atoms (diagonal of the rate matrix) and
+    their collective cross-coupling (off-diagonal)."""
+    lowers = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
+              np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
+    eye4 = np.eye(4, dtype=complex)
+    own = np.zeros((16, 16), dtype=complex)
+    cross = np.zeros((16, 16), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            raise_i = lowers[i].conj().T
+            pipj = raise_i @ lowers[j]
+            term = _lk(lowers[j], raise_i) - 0.5 * (_lk(pipj, eye4) + _lk(eye4, pipj))
+            if i == j:
+                own += term
+            else:
+                cross += term
+    return _frozen(own), _frozen(cross)
+
+
+_CNOT_HAM, _CNOT_DEP = _cnot_terms()
+_SR_OWN, _SR_CROSS = _superradiance_terms()
 
 
 @dataclass(frozen=True)
@@ -357,15 +398,7 @@ class CnotControlModel:
             raise ValueError("gamma must be nonnegative")
 
     def joint_generator(self) -> np.ndarray:
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        h = 0.5 * self.J * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY))
-        gen = _hamiltonian_superop(h)
-        eye16 = np.eye(16, dtype=complex)
-        for s in qmat.PAULIS[1:]:
-            s_t = np.kron(qmat.IDENTITY, s)
-            gen += 0.5 * self.gamma * (_lk(s_t, s_t) - eye16)
-        return gen
+        return self.J * _CNOT_HAM + self.gamma * _CNOT_DEP
 
     def env_state(self) -> np.ndarray:
         return np.diag([1.0 - self.a, self.a]).astype(complex)
@@ -405,18 +438,7 @@ class SuperradianceModel:
         return np.array([[self.gamma0, g12], [g12, self.gamma0]])
 
     def joint_generator(self) -> np.ndarray:
-        lowers = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
-                  np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
-        rates = self.rate_matrix()
-        eye4 = np.eye(4, dtype=complex)
-        gen = np.zeros((16, 16), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                raise_i = lowers[i].conj().T
-                pipj = raise_i @ lowers[j]
-                gen += rates[i, j] * (_lk(lowers[j], raise_i)
-                                      - 0.5 * (_lk(pipj, eye4) + _lk(eye4, pipj)))
-        return gen
+        return self.gamma0 * _SR_OWN + self.cross_rate * _SR_CROSS
 
     def env_state(self) -> np.ndarray:
         return np.diag([1.0 - self.a, self.a]).astype(complex)
@@ -554,6 +576,9 @@ class PropagatorGrid:
     ``diagonal`` marks grids of diagonal-affine maps, ``M = diag(d)`` and
     ``c = (0, 0, c_z)`` (Pauli and amplitude-damping families), whose
     complements follow exactly from ratios instead of matrix inversion.
+    Composite grids evolve the joint state's real Pauli coordinates,
+    ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of ``y_i`` that
+    carry the identity on the environment factor.
     """
 
     times: np.ndarray
@@ -576,6 +601,41 @@ def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
     axes = np.arange(1, 4)
     out[:, axes, axes] = d
     return out
+
+
+#: columns ``vec(sigma_a x sigma_b) / 2`` at index ``4a + b``, the orthonormal
+#: two-qubit Pauli basis
+_PAULI2 = _frozen(np.stack([qmat.vec(np.kron(sa, sb)) / 2.0
+                            for sa in qmat.PAULIS for sb in qmat.PAULIS], axis=1))
+
+#: rows of one propagation product: 512 x 16 doubles is 64 KiB, and
+#: 512 * 16 * 16 stays below OpenBLAS's threading threshold
+_BLOCK_ROWS = 512
+
+
+def _propagate(step: np.ndarray, cols: np.ndarray, n_steps: int) -> np.ndarray:
+    """The columns ``step^i @ cols`` for ``i = 0..n_steps``, transposed, as
+    ``(n_steps + 1, k, 16)`` for ``k`` columns.
+
+    Filled by doubling: ``y[p:2p] = step^p y[0:p]`` with ``step^p`` squared
+    after each block, until a block reaches ``_BLOCK_ROWS`` rows; from then
+    on blocks of that size advance with the last power.
+    """
+    k = cols.shape[1]
+    y = np.empty((n_steps + 1, k, 16))
+    y[0] = cols.T
+    flat = y.reshape(-1, 16)
+    cap = max(1, _BLOCK_ROWS // k)
+    power, p, filled = step.T, 1, 1
+    while filled <= n_steps:
+        m = min(p, n_steps + 1 - filled)
+        src = filled - p
+        np.matmul(flat[k * src:k * (src + m)], power, out=flat[k * filled:k * (filled + m)])
+        filled += m
+        if p < cap and filled <= n_steps:
+            power = power @ power
+            p *= 2
+    return y
 
 
 def check_time_grid(horizon: float, n_steps: int,
@@ -615,20 +675,22 @@ def propagator_grid(
             g = model.survival(ts)
             return _diagonal_ptm(np.stack([g, g, g * g], axis=1), 1.0 - g * g)
     elif isinstance(model, (CnotControlModel, SuperradianceModel)):
-        gen = model.joint_generator()
-        cols = _joint_basis_columns(model.env_state(), model.env_factor)
-        step = expm(gen * dt)
-        joint = np.empty((n_steps + 1, 16, 4), dtype=complex)
-        joint[0] = cols
-        for i in range(n_steps):
-            joint[i + 1] = step @ joint[i]
-        ptm = qmat.pauli_transfer_matrix(_reduce_joint_columns(joint, model.env_factor))
-        if on_grid:
-            shift = ptm[1:]
+        # Hermiticity preservation makes the generator real in this basis
+        gen = (_PAULI2.conj().T @ model.joint_generator() @ _PAULI2).real
+        # rho_env x sigma_n = sum_c r_c sigma_c x sigma_n / 2: column n has r
+        # at the rows of sigma_c x sigma_n; the partial trace keeps c = 0
+        r = np.array([1.0, *qmat.bloch_from_density(model.env_state())])[:, None]
+        if model.env_factor == 0:
+            cols, sel = np.kron(r, np.eye(4)), slice(0, 4)
         else:
-            step_eps = expm(gen * eps)
-            shift = qmat.pauli_transfer_matrix(_reduce_joint_columns(
-                np.einsum("ij,njk->nik", step_eps, joint[:-1]), model.env_factor))
+            cols, sel = np.kron(np.eye(4), r), slice(0, 16, 4)
+        if not on_grid:
+            # E_{t+eps} = e^{G t} e^{G eps}: the shifted inputs ride along
+            cols = np.hstack([cols, expm(gen * eps) @ cols])
+        y = _propagate(expm(gen * dt), cols, n_steps)
+        ptm = np.ascontiguousarray(y[:, :4, sel].transpose(0, 2, 1))
+        shift = ptm[1:] if on_grid else np.ascontiguousarray(
+            y[:-1, 4:, sel].transpose(0, 2, 1))
         return PropagatorGrid(times, dt, eps, ptm, shift)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")

@@ -142,18 +142,37 @@ def choi_of(e: np.ndarray) -> np.ndarray:
     return reshuffle(e) / 2.0
 
 
-#: ``sigma_n^T o sigma_m / 4`` at index ``4m + n``
-_CHOI_OF_PTM = 0.25 * np.stack([np.kron(sn.T, sm) for sm in PAULIS for sn in PAULIS])
+#: ``sigma_n^T o sigma_m / 4`` at row ``4m + n``, flattened and with the real
+#: and imaginary part of each entry side by side: ``(16, 32)`` real
+_CHOI_OF_PTM = (0.25 * np.stack([np.kron(sn.T, sm).reshape(16) for sm in PAULIS
+                                 for sn in PAULIS])).view(float)
+_CHOI_OF_PTM.flags.writeable = False
+
+#: rows per product: a 256 x 32 block of doubles is 64 KiB, and
+#: 256 * 16 * 32 stays below OpenBLAS's threading threshold
+_CHOI_BLOCK = 256
 
 
 def choi_of_ptm(f: np.ndarray) -> np.ndarray:
     """:func:`choi_of` from the real Pauli transfer matrix ``F`` of a map,
     ``sum_mn F_mn sigma_n^T o sigma_m / 4``; supports stacked input.
 
-    An einsum, because a matrix product would go to threaded BLAS.
+    A real product of the flattened ``F`` with the real and imaginary parts
+    of the sixteen Pauli terms, read back as complex. It runs on near-equal
+    blocks of at most ``_CHOI_BLOCK`` rows, so no product goes to threaded
+    BLAS, and no block of a stack is a single row, which BLAS would sum in
+    another order.
     """
     f = np.asarray(f, dtype=float)
-    return np.einsum("...k,kij->...ij", f.reshape(*f.shape[:-2], 16), _CHOI_OF_PTM)
+    flat = f.reshape(-1, 16)
+    n = len(flat)
+    out = np.empty((n, 16), dtype=complex)
+    parts = out.view(float)
+    blocks = max(1, -(-n // _CHOI_BLOCK))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        np.matmul(flat[rows], _CHOI_OF_PTM, out=parts[rows])
+    return out.reshape(*f.shape[:-2], 4, 4)
 
 
 def superop_of_choi(c: np.ndarray) -> np.ndarray:

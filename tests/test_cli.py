@@ -188,6 +188,18 @@ def test_sweep_epsilon_beyond_grid_step_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "rhp"])
+def test_invalid_run_block_is_config_error(command, capsys):
+    # the same run block that fails a sweep spec is a config error here too,
+    # not a numerical failure (exit 2)
+    argv = [command, "ad", "--gamma0", "1", "--lambda", "1",
+            "--horizon", "2", "--steps", "20", "--epsilon", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "epsilon must lie in (0, horizon/n_steps]" in err
+
+
 def test_main_propagates_programming_errors(monkeypatch):
     # only config, model and numerical failures map to exit codes; a
     # KeyError is a bug and must surface instead of becoming exit 2

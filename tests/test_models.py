@@ -253,6 +253,45 @@ def test_joint_generator_invariants(rng):
             assert np.abs(out - out.conj().T).max() < 1e-12
 
 
+def _kron_cnot_generator(J, gamma):
+    # the generator built term by term from Kronecker products
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    h = 0.5 * J * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY))
+    eye4 = np.eye(4, dtype=complex)
+    gen = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+    eye16 = np.eye(16, dtype=complex)
+    for s in qmat.PAULIS[1:]:
+        s_t = np.kron(qmat.IDENTITY, s)
+        gen += 0.5 * gamma * (np.kron(s_t.T, s_t) - eye16)
+    return gen
+
+
+def _kron_superradiance_generator(model):
+    lowers = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
+              np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
+    rates = model.rate_matrix()
+    eye4 = np.eye(4, dtype=complex)
+    gen = np.zeros((16, 16), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            raise_i = lowers[i].conj().T
+            pipj = raise_i @ lowers[j]
+            gen += rates[i, j] * (np.kron(raise_i.T, lowers[j])
+                                  - 0.5 * (np.kron(eye4, pipj) + np.kron(pipj.T, eye4)))
+    return gen
+
+
+def test_joint_generator_matches_kronecker_construction(rng):
+    for _ in range(300):
+        J, gamma = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0)
+        model = models.CnotControlModel(J, gamma, rng.uniform())
+        assert np.array_equal(model.joint_generator(), _kron_cnot_generator(J, gamma))
+        model = models.SuperradianceModel(rng.uniform(0.01, 5.0), rng.uniform(0.01, 20.0),
+                                          rng.uniform())
+        assert np.array_equal(model.joint_generator(), _kron_superradiance_generator(model))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         models.CnotControlModel(1.0, -0.1, 0.5)
@@ -410,6 +449,14 @@ def test_grid_matches_pointwise_constructions():
             models.amplitude_damping_propagator(ad, t)), atol=1e-12)
 
 
+def _expm_grid_ptm(model, times):
+    # pointwise e^{L t} on the joint columns, reduced and projected
+    gen = models.joint_generator(model)
+    cols = models._joint_basis_columns(model.env_state(), model.env_factor)
+    joint = np.stack([expm(gen * t) @ cols for t in times])
+    return qmat.pauli_transfer_matrix(models._reduce_joint_columns(joint, model.env_factor))
+
+
 def test_grid_composite_matches_reduced_propagator():
     model = models.SuperradianceModel(gamma0=1.0, x=1.3, a=0.4)
     grid = models.propagator_grid(model, 2.0, 100)
@@ -419,6 +466,19 @@ def test_grid_composite_matches_reduced_propagator():
         ref = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                         t, steps=int(800 * t))
         assert np.abs(grid.ptm[i] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
+    # grids filled by doubling: the last block is partial on either side of
+    # a power of two, and an off-grid epsilon shifts every map
+    for model in (model, models.CnotControlModel(J=1.7, gamma=0.15, a=0.3)):
+        for n_steps in (2, 3, 7, 8, 9, 500):
+            msg = f"{type(model).__name__}, {n_steps} steps"
+            grid = models.propagator_grid(model, 2.0, n_steps)
+            assert_allclose(grid.ptm, _expm_grid_ptm(model, grid.times),
+                            rtol=0, atol=1e-12, err_msg=msg)
+            eps = 0.3 * grid.dt
+            off = models.propagator_grid(model, 2.0, n_steps, eps=eps)
+            assert_allclose(off.ptm, grid.ptm, rtol=0, atol=1e-12, err_msg=msg)
+            assert_allclose(off.ptm_shift, _expm_grid_ptm(model, grid.times[:-1] + eps),
+                            rtol=0, atol=1e-12, err_msg=msg)
 
 
 def test_grid_shift_off_grid_epsilon():
@@ -435,7 +495,7 @@ def test_grid_shift_off_grid_epsilon():
     assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
-def test_grid_maps_are_tp_and_hp_for_all_families():
+def test_grid_maps_are_tp_and_hp_for_all_families(rng):
     cases = [
         (models.PauliChannelModel.sine_eternal(), 6.0),
         (models.AmplitudeDampingModel(1.5, 1.0), 6.0),
@@ -457,6 +517,17 @@ def test_grid_maps_are_tp_and_hp_for_all_families():
             for e in models._reduce_joint_columns(joint, model.env_factor):
                 assert _is_tp(e), type(model).__name__
                 assert qmat.is_hermiticity_preserving(e, 1e-10)
+    # grids keep only the real part of the generator in the two-qubit Pauli
+    # basis; Hermiticity preservation makes the imaginary part vanish
+    p2 = np.stack([qmat.vec(np.kron(sa, sb)) / 2.0
+                   for sa in qmat.PAULIS for sb in qmat.PAULIS], axis=1)
+    for _ in range(50):
+        for model in (models.CnotControlModel(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0),
+                                              rng.uniform()),
+                      models.SuperradianceModel(rng.uniform(0.01, 5.0),
+                                                rng.uniform(0.01, 20.0), rng.uniform())):
+            gen = model.joint_generator()
+            assert np.abs((p2.conj().T @ gen @ p2).imag).max() <= 1e-14 * np.abs(gen).max()
 
 
 def test_superradiance_ground_env_population_decays():

@@ -208,6 +208,14 @@ def test_choi_of_ptm_matches_choi_of(rng):
     f = qmat.pauli_transfer_matrix(maps)
     assert_allclose(qmat.choi_of_ptm(f), qmat.choi_of(maps), rtol=0, atol=1e-12)
     assert_allclose(qmat.choi_of_ptm(f[7]), qmat.choi_of(maps[7]), rtol=0, atol=1e-12)
+    # stacks across the block edge match the einsum formula bit for bit
+    terms = 0.25 * np.stack([np.kron(sn.T, sm) for sm in qmat.PAULIS for sn in qmat.PAULIS])
+    for shape in [(255,), (256,), (257,), (2000,), (2, 3)]:
+        f = rng.normal(size=(*shape, 4, 4))
+        ref = np.einsum("...k,kij->...ij", f.reshape(*shape, 16), terms)
+        out = qmat.choi_of_ptm(f)
+        assert out.shape == (*shape, 4, 4)
+        assert np.array_equal(out, ref), shape
 
 
 # ---------------------------------------------------------------------------
