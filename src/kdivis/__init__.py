@@ -6,13 +6,10 @@ from .config import DEFAULT, Tolerances
 from .divisibility import (
     DivisibilityClass,
     DivisibilityVerdict,
-    ComplementStep,
     classify,
-    complement_map,
     constant_pauli_class,
     is_cp,
     is_positive,
-    is_positive_pauli_diagonal,
 )
 from .errors import (
     AllStepsSingular,
@@ -28,7 +25,6 @@ from .measures import (
     blp_detects,
     blp_measure,
     rhp_detects,
-    rhp_g,
     rhp_measure,
 )
 from .models import (
@@ -39,7 +35,6 @@ from .models import (
     SuperradianceModel,
     amplitude_damping_propagator,
     damping_superop,
-    joint_generator,
     pauli_generator,
     pauli_propagator_analytic,
     propagate_rk4,

@@ -50,15 +50,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "family": {"enum": list(models.MODEL_FAMILIES)},
-                "g1": {"type": ["string", "number"]},
-                "g2": {"type": ["string", "number"]},
-                "g3": {"type": ["string", "number"]},
-                "gamma0": {"type": "number"},
-                "lambda": {"type": "number"},
-                "J": {"type": "number"},
-                "gamma": {"type": "number"},
-                "a": {"type": "number"},
-                "x": {"type": "number"},
+                **{name: {"type": ["string", "number"] if p.rate else "number"}
+                   for name, p in models.MODEL_PARAMS.items()},
             },
             "required": ["family"],
         },
@@ -92,14 +85,6 @@ CONFIG_SCHEMA = {
             },
         },
     },
-}
-
-#: parameters each family accepts in the "model" block
-_FAMILY_PARAMS = {
-    "pauli": {"g1", "g2", "g3"},
-    "ad": {"gamma0", "lambda"},
-    "cnot": {"J", "gamma", "a"},
-    "superradiance": {"gamma0", "x", "a"},
 }
 
 PRESETS = {
@@ -146,14 +131,16 @@ def validate_config(cfg: dict) -> None:
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise RunConfigError(f"config field {where}: {exc.message}") from exc
-    model = cfg.get("model")
-    if model is not None:
-        allowed = _FAMILY_PARAMS[model["family"]]
-        extra = set(model) - {"family"} - allowed
-        if extra:
-            raise RunConfigError(
-                f"model family {model['family']!r} does not accept "
-                f"parameter(s) {sorted(extra)}")
+    if "model" in cfg:
+        _check_params(cfg["model"], allow_missing=True)
+
+
+def _check_params(model_cfg: dict, allow_missing: bool = False) -> None:
+    family = models.MODEL_FAMILIES[model_cfg["family"]]
+    try:
+        family.check(model_cfg.keys() - {"family"}, allow_missing)
+    except ValueError as exc:
+        raise RunConfigError(str(exc)) from exc
 
 
 def load_run_config(
@@ -189,13 +176,8 @@ def load_run_config(
 
 def _flag_overrides(args) -> dict:
     out: dict = {}
-    model = {}
-    for flag, key in (("g1", "g1"), ("g2", "g2"), ("g3", "g3"),
-                      ("gamma0", "gamma0"), ("lam", "lambda"), ("J", "J"),
-                      ("gamma", "gamma"), ("a", "a"), ("x", "x")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            model[key] = val
+    model = {name: getattr(args, p.attr) for name, p in models.MODEL_PARAMS.items()
+             if getattr(args, p.attr, None) is not None}
     if model:
         out["model"] = model
     run = {}
@@ -224,12 +206,8 @@ def _build_model(cfg: dict):
     model_cfg = cfg.get("model")
     if model_cfg is None:
         raise RunConfigError("a model block (or preset) is required")
+    _check_params(model_cfg)
     params = {k: v for k, v in model_cfg.items() if k != "family"}
-    missing = _FAMILY_PARAMS[model_cfg["family"]] - set(params)
-    if missing:
-        raise RunConfigError(
-            f"model family {model_cfg['family']!r} is missing "
-            f"parameter(s) {sorted(missing)}")
     return models.model_from_params(model_cfg["family"], params)
 
 
@@ -268,6 +246,16 @@ def _grid_spec(cfg: dict) -> sweep.GridSpec:
             family=model_cfg["family"], x=x, y=y, fixed=fixed,
             horizon=run["horizon"], n_steps=run["steps"], epsilon=run["epsilon"],
             tol=run["tolerance"], detection=run["detection"], n_pairs=run["pairs"])
+    except ValueError as exc:
+        raise RunConfigError(str(exc)) from exc
+
+
+def _jobs(jobs: int | None) -> int:
+    """Worker count: ``jobs`` if set, else ``KDIVIS_JOBS`` or the CPU count."""
+    if jobs is not None:
+        return jobs
+    try:
+        return sweep.default_jobs()
     except ValueError as exc:
         raise RunConfigError(str(exc)) from exc
 
@@ -342,7 +330,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_run_config(args.preset, args.config, _flag_overrides(args))
     spec = _grid_spec(cfg)
     run = _run_block(cfg)
-    grid = sweep.run_sweep(spec, compute_measures=run["measures"], jobs=run["jobs"])
+    grid = sweep.run_sweep(spec, compute_measures=run["measures"], jobs=_jobs(run["jobs"]))
     output = cfg.get("output", {})
     stem = Path(output.get("path", "sweep"))
     fmt = output.get("format", "both")
@@ -360,12 +348,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     cfg = load_run_config(None, args.config, _flag_overrides(args))
-    run = dict(cfg.get("run", {}))
     fmt = args.format or cfg.get("output", {}).get("format", "both")
     out_dir = args.out_dir or cfg.get("output", {}).get("dir", ".")
     written = figures.generate_figure(
-        args.name, out_dir, fmt=fmt,
-        jobs=run.get("jobs"), max_cells=args.max_cells)
+        args.name, out_dir, fmt=fmt, jobs=_jobs(cfg.get("run", {}).get("jobs")),
+        max_cells=args.max_cells)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -375,15 +362,18 @@ def _cmd_figure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run: bool = True) -> None:
+    """Shared flags; ``run=False`` leaves out those ``figure`` does not read."""
     parser.add_argument("--config", metavar="PATH", help="JSON run config")
-    parser.add_argument("--out", metavar="PATH", help="output path")
+    if run:
+        parser.add_argument("--out", metavar="PATH", help="output path")
     parser.add_argument("--format", choices=("csv", "svg", "both"))
-    parser.add_argument("--horizon", type=float, metavar="F")
-    parser.add_argument("--steps", type=int, metavar="N")
-    parser.add_argument("--epsilon", type=float, metavar="F")
-    parser.add_argument("--tol", type=float, metavar="F",
-                        help="absolute per-step witness tolerance")
+    if run:
+        parser.add_argument("--horizon", type=float, metavar="F")
+        parser.add_argument("--steps", type=int, metavar="N")
+        parser.add_argument("--epsilon", type=float, metavar="F")
+        parser.add_argument("--tol", type=float, metavar="F",
+                            help="absolute per-step witness tolerance")
     parser.add_argument("--jobs", type=int, metavar="N",
                         help="worker processes (default: KDIVIS_JOBS or CPU count)")
 
@@ -391,16 +381,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("preset", nargs="?", choices=sorted(PRESETS),
                         help="model preset to start from")
-    parser.add_argument("--g1", metavar="RATE")
-    parser.add_argument("--g2", metavar="RATE")
-    parser.add_argument("--g3", metavar="RATE",
-                        help="rate preset: const:c, a number, tanh-neg, sin, sin-neg")
-    parser.add_argument("--gamma0", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--J", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--x", type=float)
+    for name, p in models.MODEL_PARAMS.items():
+        if p.rate:
+            parser.add_argument(f"--{name}", dest=p.attr, metavar="RATE",
+                                help="rate preset: const:c, a number, tanh-neg, sin, sin-neg")
+        else:
+            parser.add_argument(f"--{name}", dest=p.attr, type=float)
     parser.add_argument("--pairs", type=int, metavar="N")
     parser.add_argument("--detection", type=float, metavar="F")
 
@@ -434,11 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compute BLP/RHP per cell")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("figure", help="regenerate a preset figure")
+    # no prefix matching here: "--out" must not pass for "--out-dir"
+    p = sub.add_parser("figure", help="regenerate a preset figure", allow_abbrev=False)
     p.add_argument("name", choices=figures.FIGURES)
     p.add_argument("--out-dir", metavar="DIR", default=".")
     p.add_argument("--max-cells", type=int, metavar="N", default=500000)
-    _add_common(p)
+    _add_common(p, run=False)
     p.set_defaults(func=_cmd_figure)
 
     return parser

@@ -10,8 +10,9 @@ one that passes only the positivity test PD1, anything else PD0.
 
 Steps where the propagator is not invertible under the active condition
 threshold are skipped and reported, never silently pseudo-inverted.
-The batched scan reads a grid's real Pauli transfer matrices; the
-single-map functions take superoperators.
+:func:`complement_scan` reads a grid's real Pauli transfer matrices and is
+the one kernel the classifier and the RHP measure use; :func:`is_cp` and
+:func:`is_positive` test single superoperators and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -27,13 +28,10 @@ from .errors import AllStepsSingular
 __all__ = [
     "DivisibilityClass",
     "DivisibilityVerdict",
-    "ComplementStep",
     "ComplementScan",
-    "complement_map",
     "complement_scan",
     "is_cp",
     "is_positive",
-    "is_positive_pauli_diagonal",
     "classify",
     "verdict_from_scan",
     "constant_pauli_class",
@@ -55,15 +53,6 @@ class DivisibilityClass(enum.IntEnum):
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class ComplementStep:
-    """The map connecting ``E_t`` to ``E_{t+eps}``."""
-
-    t: float
-    epsilon: float
-    lambda_map: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,23 +89,6 @@ class ComplementScan:
     choi_trace_norm: np.ndarray
     singular: np.ndarray
     noise_floor: np.ndarray
-
-
-def complement_map(
-    e_t: np.ndarray,
-    e_te: np.ndarray,
-    t: float = 0.0,
-    epsilon: float = 1.0,
-    cond_threshold: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> ComplementStep:
-    """Two-point complement ``L = E_{t+eps} . E_t^{-1}``.
-
-    Propagates :class:`SingularMap` from the inversion; callers record a
-    singular timepoint in that case.
-    """
-    inv = qmat.invert(e_t, cond_threshold=cond_threshold, tolerances=tolerances)
-    return ComplementStep(t=t, epsilon=epsilon, lambda_map=qmat.compose(e_te, inv))
 
 
 def is_cp(
@@ -219,17 +191,6 @@ def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
         raise ValueError("the positivity witness needs a trace-preserving map")
     witness = float(_p_witness(qmat.pauli_transfer_matrix(l)[None])[0])
     return witness >= -tol, witness
-
-
-def is_positive_pauli_diagonal(mu, tol: float = 1e-9) -> bool:
-    """Positivity of a Pauli-diagonal map with Bloch eigenvalues ``mu``.
-
-    A unital qubit map preserves positivity iff it maps the Bloch ball into
-    itself, i.e. ``|mu_j| <= 1`` for all j. For an infinitesimal complement
-    with ``mu_j = 1 - eps (g_k + g_l)`` this reduces to nonnegativity of the
-    pairwise rate sums.
-    """
-    return bool(np.all(np.abs(np.asarray(mu, dtype=float)) <= 1.0 + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +318,6 @@ def classify(
     n_steps: int = 500,
     epsilon: float | None = None,
     tol: float | None = None,
-    cond_threshold: float | None = None,
     tolerances: config.Tolerances = config.DEFAULT,
 ) -> DivisibilityVerdict:
     """Classify a process over ``[0, horizon]`` into PD0 / PD1 / PD2.
@@ -368,18 +328,23 @@ def classify(
     excluded from voting and reported in the verdict.
     """
     grid = models.propagator_grid(model, horizon, n_steps, epsilon, tolerances)
-    scan = complement_scan(grid, cond_threshold, tolerances)
+    scan = complement_scan(grid, tolerances=tolerances)
     return verdict_from_scan(scan, tol, tolerances)
 
 
-def near_boundary(verdict: DivisibilityVerdict, band: float = 10.0) -> bool:
+#: a violation within this factor of the decision threshold, on either
+#: side, is near a class boundary
+_NEAR_BAND = 10.0
+
+
+def near_boundary(verdict: DivisibilityVerdict) -> bool:
     """Whether a verdict sits close to a class boundary.
 
     Computed from the violation magnitudes alone (never from neighboring
-    grid cells): a witness within a factor ``band`` of the decision
+    grid cells): a witness within a factor ``_NEAR_BAND`` of the decision
     threshold on either side flags the cell.
     """
-    lo, hi = verdict.tol / band, verdict.tol * band
+    lo, hi = verdict.tol / _NEAR_BAND, verdict.tol * _NEAR_BAND
     for w in (verdict.worst_cp_violation, verdict.worst_p_violation):
         if w < 0.0 and lo <= -w <= hi:
             return True

@@ -96,8 +96,8 @@ def figure_specs(name: str) -> list[sweep.GridSpec]:
     raise ValueError(f"unknown figure {name!r}; expected one of {FIGURES}")
 
 
-def _fig1_grid(spec: sweep.GridSpec, cross_check: bool) -> sweep.PhaseDiagramGrid:
-    """Analytic region fill for one constant-rate slice."""
+def _fig1_grid(spec: sweep.GridSpec) -> sweep.PhaseDiagramGrid:
+    """Analytic region fill for one constant-rate slice, cross-checked."""
     g3 = float(spec.fixed["g3"].split(":", 1)[1])
     cells = []
     for g2 in spec.y.values():
@@ -110,8 +110,7 @@ def _fig1_grid(spec: sweep.GridSpec, cross_check: bool) -> sweep.PhaseDiagramGri
                 near_boundary=bool(margin < _FIG1_MARGIN),
                 blp=None, rhp=None, singular_count=0))
     grid = sweep.PhaseDiagramGrid(spec=spec, cells=cells)
-    if cross_check:
-        _fig1_cross_check(grid, g3)
+    _fig1_cross_check(grid, g3)
     return grid
 
 
@@ -138,7 +137,6 @@ def generate_figure(
     fmt: str = "both",
     jobs: int | None = None,
     max_cells: int | None = None,
-    cross_check: bool = True,
 ) -> list[Path]:
     """Regenerate one figure; returns the written paths."""
     if fmt not in ("csv", "svg", "both"):
@@ -153,7 +151,7 @@ def generate_figure(
     written = []
     for idx, spec in enumerate(specs):
         if name == "fig1":
-            grid = _fig1_grid(spec, cross_check)
+            grid = _fig1_grid(spec)
             stem = f"fig1_g3_{'pos' if idx == 0 else 'neg'}"
         else:
             grid = sweep.run_sweep(spec, compute_measures=True, jobs=jobs)

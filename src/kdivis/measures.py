@@ -13,8 +13,9 @@ Choi matrix,
 
     g(t) = (|| choi(L_{t+eps,t}) ||_1 - 1) / eps,
 
-which vanishes exactly when the step is CP. Both work on the same uniform
-time grid as the classifier.
+which vanishes exactly when the step is CP. :func:`rhp_from_scan` reads it
+per step from the Choi trace norms of the classifier's complement scan, so
+both measures work on the same uniform time grid as the classifier.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "BlpResult",
     "RhpResult",
     "blp_measure",
-    "rhp_g",
     "rhp_measure",
     "blp_detects",
     "rhp_detects",
@@ -167,12 +167,6 @@ def blp_measure(
     """
     grid = models.propagator_grid(model, horizon, n_steps, tolerances=tolerances)
     return blp_from_grid(grid, n_pairs)
-
-
-def rhp_g(step: divisibility.ComplementStep) -> float:
-    """Instantaneous RHP rate of one complement step, clamped at zero."""
-    val = (qmat.trace_norm(qmat.choi_of(step.lambda_map)) - 1.0) / step.epsilon
-    return val if val >= 1e-12 else 0.0
 
 
 def rhp_from_scan(scan: divisibility.ComplementScan) -> RhpResult:

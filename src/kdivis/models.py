@@ -18,6 +18,10 @@ that the divisibility scan and the measures work on:
   reservoir with cross-rate ``gamma0 * sin(x)/x``; the partner atom is
   traced out.
 
+Each model class carries its family tag. :data:`MODEL_FAMILIES`, built once
+from the dataclass fields, is the one table of parameters that configs, flags
+and sweeps are checked against and models are built from.
+
 The first two have analytic propagators whose transfer matrices are
 diagonal-affine and are written directly. The composite ones are built in
 real arithmetic in the orthonormal two-qubit Pauli basis
@@ -32,8 +36,8 @@ oracle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -53,14 +57,16 @@ __all__ = [
     "pauli_propagator_analytic",
     "amplitude_damping_propagator",
     "damping_superop",
-    "joint_generator",
     "reduced_propagator",
     "propagate_rk4",
     "check_time_grid",
     "propagator_grid",
     "model_from_params",
     "model_params",
+    "ModelParam",
+    "ModelFamily",
     "MODEL_FAMILIES",
+    "MODEL_PARAMS",
 ]
 
 
@@ -72,6 +78,10 @@ def _log_cosh(t):
     # stable ln cosh t = |t| + ln(1 + e^{-2|t|}) - ln 2
     t = np.abs(t)
     return t + np.log1p(np.exp(-2.0 * t)) - np.log(2.0)
+
+
+#: constructor of each named rate in the vocabulary
+_RATE_NAMES = {"tanh-neg": "tanh_neg", "sin": "sine", "sin-neg": "sine_neg"}
 
 
 @dataclass(frozen=True)
@@ -117,9 +127,8 @@ class RateFn:
         if isinstance(spec, str):
             if spec.startswith("const:"):
                 return cls.constant(float(spec.split(":", 1)[1]))
-            named = {"tanh-neg": cls.tanh_neg, "sin": cls.sine, "sin-neg": cls.sine_neg}
-            if spec in named:
-                return named[spec]()
+            if spec in _RATE_NAMES:
+                return getattr(cls, _RATE_NAMES[spec])()
             try:
                 return cls.constant(float(spec))
             except ValueError:
@@ -168,6 +177,8 @@ def _quad_checked(fn, a, b, tolerances: config.Tolerances) -> float:
 @dataclass(frozen=True)
 class PauliChannelModel:
     """``drho/dt = 1/2 sum_j g_j(t) (sigma_j rho sigma_j - rho)``."""
+
+    family = "pauli"
 
     g1: RateFn
     g2: RateFn
@@ -243,6 +254,8 @@ class AmplitudeDampingModel:
     continued analytically (d imaginary) for ``gamma0 > lam/2``, where G has
     zeros and the time-local rate ``-2 Re(G'/G)`` turns negative in between.
     """
+
+    family = "ad"
 
     gamma0: float
     lam: float
@@ -384,6 +397,8 @@ class CnotControlModel:
     equal rates ``gamma`` on all three Pauli axes.
     """
 
+    family = "cnot"
+
     J: float
     gamma: float
     a: float
@@ -415,6 +430,8 @@ class SuperradianceModel:
     factor) starts with excited population ``a``.
     """
 
+    family = "superradiance"
+
     gamma0: float
     x: float
     a: float
@@ -442,11 +459,6 @@ class SuperradianceModel:
 
     def env_state(self) -> np.ndarray:
         return np.diag([1.0 - self.a, self.a]).astype(complex)
-
-
-def joint_generator(model) -> np.ndarray:
-    """Joint two-qubit generator of a composite model, as a 16x16 superoperator."""
-    return model.joint_generator()
 
 
 # ---------------------------------------------------------------------------
@@ -700,36 +712,90 @@ def propagator_grid(
 
 
 # ---------------------------------------------------------------------------
-# Config-facing construction
+# Model-family registry
 # ---------------------------------------------------------------------------
 
-MODEL_FAMILIES = ("pauli", "ad", "cnot", "superradiance")
+#: config, flag and sweep-axis names of the fields named otherwise
+#: (``lambda`` is a Python keyword)
+_PARAM_NAMES = {"lam": "lambda"}
+
+
+class ModelParam(NamedTuple):
+    """A model parameter: its config, flag and sweep-axis ``name``, the
+    dataclass field ``attr`` it sets, and whether it is a ``rate`` function
+    (a vocabulary string or a number) rather than a number."""
+
+    name: str
+    attr: str
+    rate: bool
+
+
+class ModelFamily:
+    """A model class under its family tag, with its parameters in field order.
+
+    ``build`` maps a parameter dict to a model, passing rates on and the rest
+    through ``float``. It is compiled once, as :mod:`dataclasses` compiles
+    ``__init__``, so that a sweep cell pays for the dict lookups alone.
+    """
+
+    def __init__(self, cls: type):
+        hints = get_type_hints(cls)
+        self.tag, self.cls = cls.family, cls
+        self.params = tuple(ModelParam(_PARAM_NAMES.get(f.name, f.name), f.name,
+                                       hints[f.name] is RateFn) for f in fields(cls))
+        self.names = frozenset(p.name for p in self.params)
+        args = ", ".join(f"p[{p.name!r}]" if p.rate else f"float(p[{p.name!r}])"
+                         for p in self.params)
+        self.build = eval(f"lambda p: cls({args})", {"cls": cls})
+
+    def check(self, names, allow_missing: bool = False) -> None:
+        """Raise ``ValueError`` naming the parameters among ``names`` that
+        the family does not accept and, unless ``allow_missing``, those it
+        needs that ``names`` lacks."""
+        unknown = sorted(set(names) - self.names)
+        missing = [] if allow_missing else sorted(self.names - set(names))
+        problems = ([f"does not accept parameter(s) {unknown}"] if unknown else []) + (
+            [f"is missing parameter(s) {missing}"] if missing else [])
+        if problems:
+            raise ValueError(f"model family {self.tag!r} " + " and ".join(problems))
+
+
+#: the model families by tag, in the order the paper introduces them
+MODEL_FAMILIES: dict[str, ModelFamily] = {fam.tag: fam for fam in map(ModelFamily, (
+    PauliChannelModel, AmplitudeDampingModel, CnotControlModel, SuperradianceModel))}
+
+#: every parameter of any family by name; families that share a name
+#: (``gamma0``, ``a``) share its field and kind
+MODEL_PARAMS: dict[str, ModelParam] = {
+    p.name: p for fam in MODEL_FAMILIES.values() for p in fam.params}
+
+_FAMILY_OF_CLASS = {fam.cls: fam for fam in MODEL_FAMILIES.values()}
 
 
 def model_from_params(family: str, params: dict):
-    """Instantiate a model from its family tag and a flat parameter mapping."""
-    if family == "pauli":
-        return PauliChannelModel(params["g1"], params["g2"], params["g3"])
-    if family == "ad":
-        return AmplitudeDampingModel(gamma0=float(params["gamma0"]),
-                                     lam=float(params["lambda"]))
-    if family == "cnot":
-        return CnotControlModel(J=float(params["J"]), gamma=float(params["gamma"]),
-                                a=float(params["a"]))
-    if family == "superradiance":
-        return SuperradianceModel(gamma0=float(params["gamma0"]),
-                                  x=float(params["x"]), a=float(params["a"]))
-    raise ValueError(f"unknown model family {family!r}")
+    """Instantiate a model from its family tag and a flat parameter mapping.
+
+    Rate parameters are passed on as given; the others go through
+    ``float``. Raises ``ValueError`` for an unknown family and for missing
+    or unknown parameters, naming them.
+    """
+    fam = MODEL_FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown model family {family!r}")
+    if len(params) != len(fam.params):
+        fam.check(params)
+    try:
+        return fam.build(params)
+    except KeyError:
+        fam.check(params)  # as many names as parameters, one missing
+        raise
 
 
 def model_params(model) -> tuple[str, dict]:
-    """Inverse of :func:`model_from_params` for serialization."""
-    if isinstance(model, PauliChannelModel):
-        return "pauli", {"g1": model.g1.tag, "g2": model.g2.tag, "g3": model.g3.tag}
-    if isinstance(model, AmplitudeDampingModel):
-        return "ad", {"gamma0": model.gamma0, "lambda": model.lam}
-    if isinstance(model, CnotControlModel):
-        return "cnot", {"J": model.J, "gamma": model.gamma, "a": model.a}
-    if isinstance(model, SuperradianceModel):
-        return "superradiance", {"gamma0": model.gamma0, "x": model.x, "a": model.a}
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """Inverse of :func:`model_from_params` for serialization; rate
+    parameters come back as their vocabulary tags."""
+    fam = _FAMILY_OF_CLASS.get(type(model))
+    if fam is None:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return fam.tag, {p.name: getattr(model, p.attr).tag if p.rate else getattr(model, p.attr)
+                     for p in fam.params}

@@ -31,14 +31,6 @@ __all__ = [
     "PALETTE",
 ]
 
-#: per-family parameter names a sweep axis may bind
-SWEEP_PARAMS = {
-    "pauli": ("g1", "g2", "g3"),
-    "ad": ("gamma0", "lambda"),
-    "cnot": ("J", "gamma", "a"),
-    "superradiance": ("gamma0", "x", "a"),
-}
-
 #: figure colors: gray for PD2, blue for PD1, red for PD0
 PALETTE = {
     "PD2": "#a0a0a0",
@@ -74,14 +66,13 @@ class GridSpec:
     tol: float | None = None
     #: measure detection threshold; None for the configured default
     detection: float | None = None
-    cond_threshold: float | None = None
     n_pairs: int = 64
     tolerances: config.Tolerances = config.DEFAULT
 
     def __post_init__(self):
-        if self.family not in SWEEP_PARAMS:
+        if self.family not in models.MODEL_FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
-        names = SWEEP_PARAMS[self.family]
+        names = models.MODEL_FAMILIES[self.family].names
         for axis in (self.x, self.y):
             if axis.name not in names:
                 raise ValueError(
@@ -93,8 +84,8 @@ class GridSpec:
         if self.x.name == self.y.name:
             raise ValueError("the two axes must bind different parameters")
         axes, fixed = {self.x.name, self.y.name}, set(self.fixed)
-        for problem, keys in (("unknown", fixed - set(names)), ("axis-shadowing", axes & fixed),
-                              ("missing", set(names) - axes - fixed)):
+        for problem, keys in (("unknown", fixed - names), ("axis-shadowing", axes & fixed),
+                              ("missing", names - axes - fixed)):
             if keys:
                 raise ValueError(f"sweep has {problem} fixed parameter(s) {sorted(keys)}")
         for key, val in self.fixed.items():
@@ -170,13 +161,18 @@ class PhaseDiagramGrid:
 
 
 def default_jobs() -> int:
+    """Worker count from ``KDIVIS_JOBS``, else the CPU count; ``ValueError``
+    when the variable is set to anything but an integer >= 1."""
     env = os.environ.get("KDIVIS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"KDIVIS_JOBS must be an integer >= 1, got {env!r}")
+    return jobs
 
 
 def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
@@ -185,8 +181,7 @@ def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
         model = spec.cell_model(xv, yv)
         grid = models.propagator_grid(model, spec.horizon, spec.n_steps,
                                       spec.epsilon, spec.tolerances)
-        scan = divisibility.complement_scan(grid, spec.cond_threshold,
-                                            tolerances=spec.tolerances)
+        scan = divisibility.complement_scan(grid, tolerances=spec.tolerances)
         verdict = divisibility.verdict_from_scan(scan, spec.tol, spec.tolerances)
         blp = rhp = None
         if compute_measures:
@@ -324,15 +319,14 @@ def _marching_squares(field: np.ndarray, level: float) -> list[tuple]:
     return segments
 
 
-def encode_svg(grid: PhaseDiagramGrid, palette: dict | None = None) -> str:
-    """Standalone SVG heatmap: one rect per cell, gray/blue/red by class.
+def encode_svg(grid: PhaseDiagramGrid) -> str:
+    """Standalone SVG heatmap: one rect per cell, colored by class from
+    :data:`PALETTE`.
 
     When BLP values are present and the detection threshold splits the PD0
     region (some PD0 cells detected, some not), the threshold level set is
     overlaid as a dashed curve.
     """
-    if palette is None:
-        palette = PALETTE
     spec = grid.spec
     n_y, n_x = grid.shape()
     if spec is not None:
@@ -369,7 +363,7 @@ def encode_svg(grid: PhaseDiagramGrid, palette: dict | None = None) -> str:
             c = grid.cell(ix, iy)
             px = left + ix * cw
             py = top + (n_y - 1 - iy) * ch
-            color = palette.get(c.pd_class, palette["ERR"])
+            color = PALETTE.get(c.pd_class, PALETTE["ERR"])
             out.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.1:.2f}" '
                        f'height="{ch + 0.1:.2f}" fill="{color}"/>')
 
@@ -393,7 +387,7 @@ def encode_svg(grid: PhaseDiagramGrid, palette: dict | None = None) -> str:
     lx = left + _PLOT_W - 150
     for k, name in enumerate(("PD2", "PD1", "PD0")):
         out.append(f'<rect x="{lx + 52 * k:.1f}" y="{top - 30:.1f}" width="12" height="12" '
-                   f'fill="{palette[name]}" stroke="black" stroke-width="0.5"/>')
+                   f'fill="{PALETTE[name]}" stroke="black" stroke-width="0.5"/>')
         out.append(f'<text x="{lx + 52 * k + 16:.1f}" y="{top - 20:.1f}" '
                    f'font-family="sans-serif" font-size="12">{name}</text>')
 

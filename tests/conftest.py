@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdivis import qmat
+from kdivis import models, qmat
 
 
 def random_hp_tp_map(rng, spread=0.6):
@@ -24,6 +24,20 @@ def random_cptp_map(rng):
     v, _ = np.linalg.qr(g)
     kraus = [v[0:2, :], v[2:4, :]]
     return qmat.superop_from_kraus(kraus)
+
+
+def one_step_grid(e_t, e_te, epsilon=1.0, diagonal=False):
+    """Propagator grid holding one complement step, from the superoperator
+    ``e_t`` to ``e_te`` a step ``epsilon`` later.
+
+    ``diagonal=True`` sends :func:`~kdivis.divisibility.complement_scan`
+    down the closed form, which reads only the diagonal and the z offset of
+    the transfer matrices, so both maps must be diagonal-affine; otherwise
+    the scan takes the generic inversion path.
+    """
+    ptm = qmat.pauli_transfer_matrix(np.array([e_t, e_te]))
+    return models.PropagatorGrid(times=np.array([0.0, epsilon]), dt=epsilon, eps=epsilon,
+                                 ptm=ptm, ptm_shift=ptm[1:], diagonal=diagonal)
 
 
 def random_density_matrix(rng):

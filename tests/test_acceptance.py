@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_cptp_map, random_hp_tp_map
+from conftest import one_step_grid, random_cptp_map, random_hp_tp_map
 from kdivis import divisibility, measures, models, qmat, sweep
 from kdivis.divisibility import DivisibilityClass
 
@@ -193,7 +193,7 @@ def test_criterion_7_oracle_equivalence():
                 assert np.abs(rk - exact).max() <= 1e-6, (g, t)
 
         sr = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0)
-        gen = models.joint_generator(sr)
+        gen = sr.joint_generator()
         for t in (0.5, 1.5, 3.0, 5.0):
             reduced = models.reduced_propagator(
                 gen, sr.env_state(), sr.env_factor, t, steps=int(200 * t))
@@ -233,11 +233,14 @@ def test_criterion_8c_pauli_positivity_fast_path():
         rng = np.random.default_rng(83)
         for _ in range(200):
             mu = rng.uniform(-1.5, 1.5, size=3)
-            fast = divisibility.is_positive_pauli_diagonal(mu, tol=1e-9)
-            # matched tolerance: the general witness is (1 - max|mu|)/2
-            general, witness = divisibility.is_positive(
-                qmat.pauli_diagonal_superop(mu), tol=0.5e-9)
-            assert fast == general, (mu, witness)
+            superop = qmat.pauli_diagonal_superop(mu)
+            # the closed form of the production scan, on the complement of
+            # the identity by the map; both witnesses are (1 - max|mu|)/2
+            scan = divisibility.complement_scan(
+                one_step_grid(np.eye(4), superop, diagonal=True))
+            fast = scan.p_witness[0] >= -0.5e-9
+            general, witness = divisibility.is_positive(superop, tol=0.5e-9)
+            assert fast == general, (mu, scan.p_witness[0], witness)
 
 
 def test_criterion_8d_p_divisible_implies_no_backflow():

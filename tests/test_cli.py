@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from kdivis import cli, figures, sweep
+from kdivis import cli, figures, models, sweep
 from kdivis.cli import main
+
+#: (family, config and flag name, model attribute) of every model parameter
+FAMILY_PARAMS = [
+    ("pauli", "g1", "g1"), ("pauli", "g2", "g2"), ("pauli", "g3", "g3"),
+    ("ad", "gamma0", "gamma0"), ("ad", "lambda", "lam"),
+    ("cnot", "J", "J"), ("cnot", "gamma", "gamma"), ("cnot", "a", "a"),
+    ("superradiance", "gamma0", "gamma0"), ("superradiance", "x", "x"),
+    ("superradiance", "a", "a"),
+]
 
 
 def test_classify_hall_preset(capsys):
@@ -209,3 +218,62 @@ def test_main_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(cli.divisibility, "classify", broken)
     with pytest.raises(KeyError, match="unexpected key"):
         main(["classify", "hall"])
+
+
+def _built_model(argv):
+    args = cli.build_parser().parse_args(argv)
+    return cli._build_model(cli.load_run_config(args.preset, args.config,
+                                                cli._flag_overrides(args)))
+
+
+def test_flag_table_covers_every_model_parameter():
+    assert sorted(FAMILY_PARAMS) == sorted(
+        (tag, p.name, p.attr) for tag, fam in models.MODEL_FAMILIES.items()
+        for p in fam.params)
+
+
+@pytest.mark.parametrize("family, name, attr", FAMILY_PARAMS)
+def test_model_parameter_flag_and_config_type(family, name, attr, tmp_path, capsys):
+    rate = family == "pauli"
+    if rate:
+        assert getattr(_built_model(["classify", family, f"--{name}", "sin"]), attr).tag == "sin"
+        built = _built_model(["classify", family, f"--{name}", "0.5"])
+        assert getattr(built, attr).tag == "const:0.5"
+    else:
+        assert getattr(_built_model(["classify", family, f"--{name}", "0.25"]), attr) == 0.25
+    # a config value of the wrong kind is a config error
+    model_cfg = dict(cli.PRESETS[family]["model"], **{name: [0.5] if rate else "0.25"})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": model_cfg, "run": {"horizon": 1.0}}))
+    assert main(["classify", "--config", str(path)]) == 1
+    assert f"config field model/{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--out", "x"], ["--horizon", "1"], ["--steps", "3"],
+                                  ["--epsilon", "99"], ["--tol", "7"]])
+def test_figure_rejects_flags_it_does_not_read(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a parser that took the flag would write here
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "fig1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_malformed_kdivis_jobs_is_config_error(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KDIVIS_JOBS", value)
+    cfg = {"model": {"family": "ad"},
+           "sweep": {"x": {"name": "gamma0", "min": 0.5, "max": 1.0, "n": 2},
+                     "y": {"name": "lambda", "min": 0.5, "max": 1.0, "n": 2}},
+           "run": {"horizon": 2.0, "steps": 20},
+           "output": {"path": str(tmp_path / "s")}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["sweep", "--config", str(path)],
+                 ["figure", "fig1", "--out-dir", str(tmp_path / "figs")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "KDIVIS_JOBS" in err
+    assert list(tmp_path.iterdir()) == [path]  # nothing written
+    # an explicit worker count does not read the variable
+    assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 0

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_cptp_map, random_hp_tp_map
-from kdivis import divisibility, models, qmat
+from conftest import one_step_grid, random_cptp_map, random_hp_tp_map
+from kdivis import config, divisibility, models, qmat
 from kdivis.divisibility import DivisibilityClass
-from kdivis.errors import AllStepsSingular, SingularMap
+from kdivis.errors import AllStepsSingular
 
 
 def _transpose_superop():
@@ -21,55 +21,83 @@ def _transpose_superop():
 
 
 # ---------------------------------------------------------------------------
-# complement maps
+# complement steps through the scan
 # ---------------------------------------------------------------------------
 
+def _scans(e_t, e_te, epsilon=1.0):
+    """Scans of the one-step grid on the closed form and on the generic path."""
+    return [divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, diagonal))
+            for diagonal in (True, False)]
+
+
+def _assert_scan_matches_map(scan, lam, atol):
+    """The scan's witnesses of its one step are the single-map oracles'
+    witnesses of the complement superoperator ``lam``."""
+    assert not scan.singular[0]
+    assert_allclose(scan.cp_witness[0], divisibility.is_cp(lam)[1], rtol=0, atol=atol)
+    assert_allclose(scan.p_witness[0], divisibility.is_positive(lam)[1], rtol=0, atol=atol)
+    assert_allclose(scan.choi_trace_norm[0], qmat.trace_norm(qmat.choi_of(lam)),
+                    rtol=0, atol=atol)
+
+
 def test_complement_of_identity_is_identity():
-    step = divisibility.complement_map(np.eye(4), np.eye(4), epsilon=0.1)
-    assert_allclose(step.lambda_map, np.eye(4), atol=1e-12)
+    for scan in _scans(np.eye(4), np.eye(4), epsilon=0.1):
+        _assert_scan_matches_map(scan, np.eye(4), 1e-12)
+        assert scan.epsilon == 0.1
+        assert_allclose([scan.cp_witness[0], scan.p_witness[0], scan.choi_trace_norm[0]],
+                        [0.0, 0.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_complement_of_pauli_maps_is_ratio_diagonal():
     lam_t = np.array([0.9, 0.8, 0.72])
     lam_te = np.array([0.87, 0.75, 0.65])
-    step = divisibility.complement_map(qmat.pauli_diagonal_superop(lam_t),
-                                       qmat.pauli_diagonal_superop(lam_te),
-                                       epsilon=0.05)
-    assert_allclose(step.lambda_map,
-                    qmat.pauli_diagonal_superop(lam_te / lam_t), atol=1e-12)
+    for scan in _scans(qmat.pauli_diagonal_superop(lam_t),
+                       qmat.pauli_diagonal_superop(lam_te), epsilon=0.05):
+        _assert_scan_matches_map(scan, qmat.pauli_diagonal_superop(lam_te / lam_t), 1e-12)
 
 
 def test_complement_hall_first_order_expansion():
-    # at t = 1, small eps: mu ~ (1 - eps(1 - tanh 1), same, 1 - 2 eps)
+    # at t = 1, small eps: mu ~ (1 - eps(1 - tanh 1), same, 1 - 2 eps), whose
+    # lowest Choi level is -eps tanh(1) / 2
     model = models.PauliChannelModel.hall()
     t, eps = 1.0, 1e-5
-    step = divisibility.complement_map(
-        models.pauli_propagator_analytic(model, t),
-        models.pauli_propagator_analytic(model, t + eps),
-        t=t, epsilon=eps)
-    mu = np.diag(qmat.pauli_transfer_matrix(step.lambda_map))[1:]
-    expected = np.array([1 - eps * (1 - np.tanh(1.0)),
-                         1 - eps * (1 - np.tanh(1.0)),
-                         1 - 2 * eps])
-    assert_allclose(mu, expected, atol=1e-9)
+    expected = qmat.pauli_diagonal_superop([1 - eps * (1 - np.tanh(1.0)),
+                                            1 - eps * (1 - np.tanh(1.0)),
+                                            1 - 2 * eps])
+    for scan in _scans(models.pauli_propagator_analytic(model, t),
+                       models.pauli_propagator_analytic(model, t + eps), epsilon=eps):
+        _assert_scan_matches_map(scan, expected, 1e-9)
+        assert_allclose(scan.cp_witness[0], -0.5 * eps * np.tanh(1.0), rtol=1e-4)
 
 
 def test_complement_satisfies_defining_identity(rng):
-    for _ in range(20):
-        e_t = random_cptp_map(rng)
-        e_te = random_cptp_map(rng)
-        try:
-            step = divisibility.complement_map(e_t, e_te, epsilon=0.1)
-        except SingularMap:
-            continue
+    # generic path on random CPTP and HP TP pairs: the scan's witnesses are
+    # those of L = E_te E_t^-1, inverted here, within the conditioning of E_t
+    checked = 0
+    for k in range(40):
+        e_t = random_cptp_map(rng) if k % 2 else random_hp_tp_map(rng)
+        e_te = random_cptp_map(rng) if k % 4 < 2 else random_hp_tp_map(rng)
+        scan = divisibility.complement_scan(one_step_grid(e_t, e_te, 0.1))
         cond = np.linalg.cond(e_t)
-        assert np.abs(qmat.compose(step.lambda_map, e_t) - e_te).max() <= 1e-8 * cond
+        if scan.singular[0]:
+            assert cond > config.DEFAULT.cond_threshold
+            continue
+        lam = e_te @ np.linalg.inv(e_t)
+        assert np.abs(lam @ e_t - e_te).max() <= 1e-8 * cond
+        _assert_scan_matches_map(scan, lam, 1e-13 * cond * max(1.0, np.abs(lam).max()))
+        checked += 1
+    assert checked >= 30
 
 
 def test_complement_propagates_singular_map():
-    with pytest.raises(SingularMap):
-        divisibility.complement_map(qmat.depolarizing_superop(), np.eye(4),
-                                    epsilon=0.1)
+    # the fully depolarizing map has no inverse: both paths flag the step,
+    # leave its witnesses NaN, and a verdict over it alone has no vote
+    for scan in _scans(qmat.depolarizing_superop(), np.eye(4), epsilon=0.1):
+        assert scan.singular[0]
+        assert np.isnan([scan.cp_witness[0], scan.p_witness[0],
+                         scan.choi_trace_norm[0]]).all()
+        with pytest.raises(AllStepsSingular):
+            divisibility.verdict_from_scan(scan)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +120,11 @@ def test_is_cp_depolarizing_complement_with_positive_rates():
     # constant nonnegative rates keep every complement step CP
     model = models.PauliChannelModel.constant(0.4, 0.3, 0.2)
     lam = model.bloch_eigenvalues(np.array([1.0, 1.02]))
-    step = divisibility.complement_map(qmat.pauli_diagonal_superop(lam[0]),
-                                       qmat.pauli_diagonal_superop(lam[1]),
-                                       epsilon=0.02)
-    ok, witness = divisibility.is_cp(step.lambda_map)
+    ok, witness = divisibility.is_cp(qmat.pauli_diagonal_superop(lam[1] / lam[0]))
     assert ok and witness > -1e-12
+    for scan in _scans(qmat.pauli_diagonal_superop(lam[0]),
+                       qmat.pauli_diagonal_superop(lam[1]), epsilon=0.02):
+        assert_allclose(scan.cp_witness[0], witness, rtol=0, atol=1e-12)
 
 
 def test_is_positive_identity_and_transpose():
@@ -194,44 +222,52 @@ def test_is_positive_rejects_non_trace_preserving_map():
         divisibility.is_positive(qmat.sandwich_superop(kraus, kraus.conj().T))
 
 
+def _closed_form_p_witness(mu):
+    """P witness of the Pauli-diagonal map with Bloch eigenvalues ``mu``,
+    from the scan's closed form: the complement of the identity by it."""
+    grid = one_step_grid(np.eye(4), qmat.pauli_diagonal_superop(mu), diagonal=True)
+    return divisibility.complement_scan(grid).p_witness[0]
+
+
 def test_is_positive_pauli_diagonal_basic():
-    assert divisibility.is_positive_pauli_diagonal([1.0, 1.0, 1.0])
-    assert divisibility.is_positive_pauli_diagonal([0.9, -0.9, 0.8])
+    # a unital map preserves positivity iff it keeps the Bloch ball, |mu_j| <= 1
+    assert _closed_form_p_witness([1.0, 1.0, 1.0]) == 0.0
+    assert _closed_form_p_witness([0.9, -0.9, 0.8]) > 0.0
     ok, _ = divisibility.is_positive(qmat.pauli_diagonal_superop([0.9, -0.9, 0.8]))
     assert ok
-    assert not divisibility.is_positive_pauli_diagonal([1.2, 0.0, 0.0])
+    assert_allclose(_closed_form_p_witness([1.2, 0.0, 0.0]), -0.1, atol=1e-15)
 
 
 def test_hall_complement_stays_positive_for_all_t():
     # pairwise rate sums (1 - tanh t, 1 - tanh t, 2) are nonnegative, so the
     # Bloch ratios stay inside the unit ball
-    model = models.PauliChannelModel.hall()
-    ts = np.linspace(0.0, 12.0, 60)
-    lam = model.bloch_eigenvalues(ts)
-    for i in range(len(ts) - 1):
-        mu = lam[i + 1] / lam[i]
-        assert divisibility.is_positive_pauli_diagonal(mu, tol=1e-12)
+    grid = models.propagator_grid(models.PauliChannelModel.hall(), 12.0, 59)
+    scan = divisibility.complement_scan(grid)
+    assert not scan.singular.any()
+    assert (scan.p_witness >= -0.5e-12).all()
 
 
-# the fast path bounds |mu| - 1 while the general search bounds the output
-# eigenvalue (1 - max|mu|)/2, so matched tolerances differ by a factor 2
+# the closed form and the general search bound the same output eigenvalue,
+# (1 - max|mu|)/2, so they decide under one tolerance
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*(st.floats(-1.5, 1.5) for _ in range(3))))
 def test_pauli_fast_path_agrees_with_general_search(mu):
-    fast = divisibility.is_positive_pauli_diagonal(mu, tol=1e-9)
+    fast = _closed_form_p_witness(mu)
     general, witness = divisibility.is_positive(
         qmat.pauli_diagonal_superop(mu), tol=0.5e-9)
-    assert fast == general, (mu, witness)
+    assert (fast >= -0.5e-9) == general, (mu, fast, witness)
+    assert_allclose(fast, witness, rtol=0, atol=1e-12)
 
 
 def test_pauli_fast_path_agrees_on_200_random_maps(rng):
     for _ in range(200):
         mu = rng.uniform(-1.5, 1.5, size=3)
-        fast = divisibility.is_positive_pauli_diagonal(mu, tol=1e-9)
+        fast = _closed_form_p_witness(mu)
         general, witness = divisibility.is_positive(
             qmat.pauli_diagonal_superop(mu), tol=0.5e-9)
-        assert fast == general, (mu, witness)
+        assert (fast >= -0.5e-9) == general, (mu, fast, witness)
         # the witness itself has the closed form (1 - max|mu|)/2
+        assert_allclose(fast, 0.5 * (1.0 - np.abs(mu).max()), atol=1e-12)
         assert_allclose(witness, 0.5 * (1.0 - np.abs(mu).max()), atol=1e-8)
 
 

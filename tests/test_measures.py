@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import one_step_grid
 from kdivis import divisibility, measures, models, qmat
 from kdivis.divisibility import DivisibilityClass
 
@@ -150,32 +151,39 @@ def test_blp_from_grid_peak_allocation():
 # RHP
 # ---------------------------------------------------------------------------
 
+def _rhp_g(e_t, e_te, epsilon, diagonal=False):
+    """RHP rate of the one complement step from ``e_t`` to ``e_te``."""
+    scan = divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, diagonal))
+    return measures.rhp_from_scan(scan).g_series[0]
+
+
 def test_rhp_g_zero_for_cp_complement():
-    step = divisibility.ComplementStep(0.0, 0.02, np.eye(4, dtype=complex))
-    assert measures.rhp_g(step) == 0.0
+    for diagonal in (True, False):
+        assert _rhp_g(np.eye(4), np.eye(4), 0.02, diagonal) == 0.0
 
 
 def test_rhp_g_positive_for_hall_complement():
     model = models.PauliChannelModel.hall()
     t, eps = 1.0, 0.01
-    step = divisibility.complement_map(
-        models.pauli_propagator_analytic(model, t),
-        models.pauli_propagator_analytic(model, t + eps), t=t, epsilon=eps)
-    # oracle: the Choi spectrum has one negative level of size ~ eps tanh(t)/2
-    choi = qmat.choi_of(step.lambda_map)
+    e_t = models.pauli_propagator_analytic(model, t)
+    e_te = models.pauli_propagator_analytic(model, t + eps)
+    # oracle: the complement, inverted here, has one negative Choi level of
+    # size ~ eps tanh(t)/2
+    choi = qmat.choi_of(e_te @ np.linalg.inv(e_t))
     lowest = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]
     assert lowest < -1e-4
-    g = measures.rhp_g(step)
-    assert_allclose(g, -2.0 * lowest / eps, rtol=1e-6)
-    assert_allclose(g, np.tanh(t), atol=0.02)
+    for diagonal in (True, False):
+        g = _rhp_g(e_t, e_te, eps, diagonal)
+        assert_allclose(g, -2.0 * lowest / eps, rtol=1e-6)
+        assert_allclose(g, np.tanh(t), atol=0.02)
 
 
 def test_rhp_g_from_synthetic_choi_spectrum():
     # complement with Choi eigenvalues (0.6, 0.5, -0.1, 0): trace norm 1.2
     eps = 0.05
     diag = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-    step = divisibility.ComplementStep(0.0, eps, qmat.superop_of_choi(diag))
-    assert_allclose(measures.rhp_g(step), 0.2 / eps, atol=1e-12)
+    assert_allclose(_rhp_g(np.eye(4), qmat.superop_of_choi(diag), eps), 0.2 / eps,
+                    atol=1e-12)
 
 
 def test_rhp_measure_small_for_pd2_models():

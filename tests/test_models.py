@@ -210,14 +210,14 @@ def test_ad_boundary_case_survival_finite():
 
 def test_cnot_zero_generator():
     model = models.CnotControlModel(J=0.0, gamma=0.0, a=0.3)
-    assert_allclose(models.joint_generator(model), np.zeros((16, 16)), atol=1e-14)
+    assert_allclose(model.joint_generator(), np.zeros((16, 16)), atol=1e-14)
 
 
 def test_superradiance_decoupled_at_pi():
     model = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.5)
     assert abs(model.cross_rate) < 1e-15
     # two independent decays
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     ops = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
            np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
     expected = np.zeros((16, 16), dtype=complex)
@@ -243,7 +243,7 @@ def test_superradiance_rate_matrix_psd():
 def test_joint_generator_invariants(rng):
     for model in (models.CnotControlModel(1.0, 0.2, 0.4),
                   models.SuperradianceModel(1.0, 2.0, 0.6)):
-        gen = models.joint_generator(model)
+        gen = model.joint_generator()
         assert _annihilates_trace(gen)
         # Hermiticity preservation, tested on random Hermitian inputs
         for _ in range(5):
@@ -311,7 +311,7 @@ def test_model_validation():
 
 def test_reduced_propagator_identity_at_zero():
     model = models.CnotControlModel(1.0, 0.3, 0.5)
-    e = models.reduced_propagator(models.joint_generator(model),
+    e = models.reduced_propagator(model.joint_generator(),
                                   model.env_state(), model.env_factor, 0.0, 10)
     assert_allclose(e, np.eye(4), atol=1e-14)
 
@@ -319,7 +319,7 @@ def test_reduced_propagator_identity_at_zero():
 def test_reduced_propagator_cnot_ground_control_is_identity():
     # control in |0> applies the identity branch for all t
     model = models.CnotControlModel(J=1.3, gamma=0.0, a=0.0)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     for t in (0.7, 3.1, 8.0):
         e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                       t, steps=max(1, int(200 * t)))
@@ -329,7 +329,7 @@ def test_reduced_propagator_cnot_ground_control_is_identity():
 def test_reduced_propagator_decoupled_superradiance_is_damping():
     # x = pi, ground-state environment: plain decay at rate gamma0
     model = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     for t in (0.5, 2.0, 4.0):
         e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                       t, steps=int(400 * t))
@@ -343,7 +343,7 @@ def test_superradiance_ground_env_is_time_dependent_damping():
     # e^{-g0 t/2} cosh(g12 t / 2), from the single-excitation amplitude pair
     # dA/dt = -1/2 [[g0, g12], [g12, g0]] A with A = (1, 0)
     model = models.SuperradianceModel(gamma0=1.0, x=2.0, a=0.0)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     g12 = model.cross_rate
     for t in (0.7, 2.1):
         e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
@@ -361,7 +361,7 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
     # control fixed in |1>: the target rotates about x at angle J t while the
     # isotropic channel shrinks the whole Bloch ball by e^{-2 gamma t}
     model = models.CnotControlModel(J=1.3, gamma=0.2, a=1.0)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     for t in (0.9, 2.4):
         e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                       t, steps=int(400 * t))
@@ -377,7 +377,7 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
 
 def test_reduced_propagator_is_linear_and_tp(rng):
     model = models.SuperradianceModel(gamma0=1.0, x=2.0, a=0.5)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
                                   1.3, steps=260)
     assert _is_tp(e)
@@ -391,13 +391,13 @@ def test_reduced_propagator_is_linear_and_tp(rng):
 def test_reduced_propagator_validates_env_state():
     model = models.CnotControlModel(1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
-        models.reduced_propagator(models.joint_generator(model), np.eye(2),
+        models.reduced_propagator(model.joint_generator(), np.eye(2),
                                   0, 1.0, 100)
 
 
 def test_step_halving_check_flags_coarse_integration():
     model = models.CnotControlModel(J=10.0, gamma=0.0, a=1.0)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     with pytest.raises(IntegrationUnstable):
         models.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=3,
                                   check=True)
@@ -451,7 +451,7 @@ def test_grid_matches_pointwise_constructions():
 
 def _expm_grid_ptm(model, times):
     # pointwise e^{L t} on the joint columns, reduced and projected
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     cols = models._joint_basis_columns(model.env_state(), model.env_factor)
     joint = np.stack([expm(gen * t) @ cols for t in times])
     return qmat.pauli_transfer_matrix(models._reduce_joint_columns(joint, model.env_factor))
@@ -460,7 +460,7 @@ def _expm_grid_ptm(model, times):
 def test_grid_composite_matches_reduced_propagator():
     model = models.SuperradianceModel(gamma0=1.0, x=1.3, a=0.4)
     grid = models.propagator_grid(model, 2.0, 100)
-    gen = models.joint_generator(model)
+    gen = model.joint_generator()
     for i in (10, 50, 100):
         t = grid.times[i]
         ref = models.reduced_propagator(gen, model.env_state(), model.env_factor,
@@ -489,7 +489,7 @@ def test_grid_shift_off_grid_epsilon():
         models.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
     cn = models.CnotControlModel(1.0, 0.1, 0.5)
     grid = models.propagator_grid(cn, 2.0, 40, eps=0.01)
-    gen = models.joint_generator(cn)
+    gen = cn.joint_generator()
     ref = models.reduced_propagator(gen, cn.env_state(), cn.env_factor,
                                     grid.times[8] + 0.01, steps=600)
     assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
@@ -562,3 +562,16 @@ def test_model_params_round_trip():
         family, params = models.model_params(model)
         rebuilt = models.model_from_params(family, params)
         assert rebuilt == model
+
+
+def test_model_from_params_names_missing_and_unknown_parameters():
+    with pytest.raises(ValueError, match=r"'ad' is missing parameter\(s\) \['lambda'\]"):
+        models.model_from_params("ad", {"gamma0": 1.0})
+    with pytest.raises(ValueError, match=r"'ad' does not accept parameter\(s\) \['typo'\]"):
+        models.model_from_params("ad", {"gamma0": 1, "lambda": 1, "typo": 3})
+    # as many names as parameters, one of them wrong: both are named
+    with pytest.raises(ValueError, match=r"does not accept parameter\(s\) \['alpha'\] "
+                                         r"and is missing parameter\(s\) \['a'\]"):
+        models.model_from_params("cnot", {"J": 1.0, "gamma": 0.1, "alpha": 0.5})
+    with pytest.raises(ValueError, match="unknown model family 'nope'"):
+        models.model_from_params("nope", {})

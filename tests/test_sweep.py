@@ -286,7 +286,10 @@ def test_marching_squares_simple_field():
 def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("KDIVIS_JOBS", "3")
     assert sweep.default_jobs() == 3
-    monkeypatch.setenv("KDIVIS_JOBS", "junk")
-    assert sweep.default_jobs() >= 1
+    # anything but an integer >= 1 is an error, never a silent substitute
+    for bad in ("junk", "0", "-3", "2.5"):
+        monkeypatch.setenv("KDIVIS_JOBS", bad)
+        with pytest.raises(ValueError, match="KDIVIS_JOBS"):
+            sweep.default_jobs()
     monkeypatch.delenv("KDIVIS_JOBS")
     assert sweep.default_jobs() >= 1
