@@ -332,19 +332,14 @@ def classify(
     return verdict_from_scan(scan, tol, tolerances)
 
 
-#: a violation within this factor of the decision threshold, on either
-#: side, is near a class boundary
-_NEAR_BAND = 10.0
-
-
 def near_boundary(verdict: DivisibilityVerdict) -> bool:
     """Whether a verdict sits close to a class boundary.
 
     Computed from the violation magnitudes alone (never from neighboring
-    grid cells): a witness within a factor ``_NEAR_BAND`` of the decision
-    threshold on either side flags the cell.
+    grid cells): a witness within a factor 10 of the decision threshold on
+    either side flags the cell.
     """
-    lo, hi = verdict.tol / _NEAR_BAND, verdict.tol * _NEAR_BAND
+    lo, hi = verdict.tol / 10.0, verdict.tol * 10.0
     for w in (verdict.worst_cp_violation, verdict.worst_p_violation):
         if w < 0.0 and lo <= -w <= hi:
             return True

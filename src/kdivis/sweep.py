@@ -166,13 +166,9 @@ def default_jobs() -> int:
     env = os.environ.get("KDIVIS_JOBS")
     if not env:
         return os.cpu_count() or 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
+    if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"KDIVIS_JOBS must be an integer >= 1, got {env!r}")
-    return jobs
+    return int(env)
 
 
 def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
