@@ -17,7 +17,6 @@ from .errors import (
     KdivisError,
     NotHermitian,
     QuadratureFailure,
-    SingularMap,
 )
 from .measures import (
     BlpResult,

@@ -133,6 +133,9 @@ def validate_config(cfg: dict) -> None:
         raise RunConfigError(f"config field {where}: {exc.message}") from exc
     if "model" in cfg:
         _check_params(cfg["model"], allow_missing=True)
+    for key, val in cfg.get("run", {}).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise RunConfigError(f"config field run/{key}: {val} is not finite")
 
 
 def _check_params(model_cfg: dict, allow_missing: bool = False) -> None:
@@ -159,8 +162,13 @@ def load_run_config(
             text = Path(config_path).read_text()
         except OSError as exc:
             raise RunConfigError(f"cannot read config {config_path}: {exc}") from exc
+
+        def reject_constant(name: str):
+            # json accepts NaN, Infinity and -Infinity; no config value may be one
+            raise RunConfigError(f"config {config_path}: {name} is not a finite number")
+
         try:
-            file_cfg = json.loads(text)
+            file_cfg = json.loads(text, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise RunConfigError(
                 f"config {config_path}: line {exc.lineno}, column {exc.colno}: "
@@ -348,6 +356,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     cfg = load_run_config(None, args.config, _flag_overrides(args))
+    # the preset figure fixes model, sweep and run; only these keys apply
+    unread = [block for block in ("model", "sweep") if block in cfg]
+    unread += [f"run.{key}" for key in cfg.get("run", {}) if key != "jobs"]
+    unread += ["output.path"] if "path" in cfg.get("output", {}) else []
+    if unread:
+        raise RunConfigError(f"figure does not read config key(s) {unread}")
     fmt = args.format or cfg.get("output", {}).get("format", "both")
     out_dir = args.out_dir or cfg.get("output", {}).get("dir", ".")
     written = figures.generate_figure(
@@ -362,20 +376,26 @@ def _cmd_figure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, run: bool = True) -> None:
-    """Shared flags; ``run=False`` leaves out those ``figure`` does not read."""
-    parser.add_argument("--config", metavar="PATH", help="JSON run config")
-    if run:
-        parser.add_argument("--out", metavar="PATH", help="output path")
-    parser.add_argument("--format", choices=("csv", "svg", "both"))
-    if run:
-        parser.add_argument("--horizon", type=float, metavar="F")
-        parser.add_argument("--steps", type=int, metavar="N")
-        parser.add_argument("--epsilon", type=float, metavar="F")
-        parser.add_argument("--tol", type=float, metavar="F",
-                            help="absolute per-step witness tolerance")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes (default: KDIVIS_JOBS or CPU count)")
+#: the run and output flags in help order, each with its argparse settings
+#: and the subcommands that read it; a subcommand takes no other flag
+_FLAGS = (
+    ("--pairs", dict(type=int, metavar="N"), {"blp", "sweep"}),
+    ("--detection", dict(type=float, metavar="F"), {"blp", "rhp", "sweep"}),
+    ("--config", dict(metavar="PATH", help="JSON run config"),
+     {"classify", "blp", "rhp", "sweep", "figure"}),
+    ("--out", dict(metavar="PATH", help="output path"), {"blp", "rhp", "sweep"}),
+    ("--format", dict(choices=("csv", "svg", "both")), {"sweep", "figure"}),
+    ("--horizon", dict(type=float, metavar="F"), {"classify", "blp", "rhp", "sweep"}),
+    ("--steps", dict(type=int, metavar="N"), {"classify", "blp", "rhp", "sweep"}),
+    ("--epsilon", dict(type=float, metavar="F"), {"classify", "rhp", "sweep"}),
+    ("--tol", dict(type=float, metavar="F", help="absolute per-step witness tolerance"),
+     {"classify", "sweep"}),
+    ("--jobs", dict(type=int, metavar="N",
+                    help="worker processes (default: KDIVIS_JOBS or CPU count)"),
+     {"sweep", "figure"}),
+    ("--measures", dict(action="store_true", help="also compute BLP/RHP per cell"),
+     {"sweep"}),
+)
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -387,8 +407,13 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                                 help="rate preset: const:c, a number, tanh-neg, sin, sin-neg")
         else:
             parser.add_argument(f"--{name}", dest=p.attr, type=float)
-    parser.add_argument("--pairs", type=int, metavar="N")
-    parser.add_argument("--detection", type=float, metavar="F")
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of ``_FLAGS`` that ``command`` reads."""
+    for flag, kwargs, readers in _FLAGS:
+        if command in readers:
+            parser.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,35 +422,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Divisibility classification, non-Markovianity measures "
                     "and phase diagrams for qubit dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify one model into PD0/PD1/PD2")
-    _add_model_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("blp", help="trace-distance (BLP) measure of one model")
-    _add_model_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_blp)
-
-    p = sub.add_parser("rhp", help="divisibility (RHP) measure of one model")
-    _add_model_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rhp)
-
-    p = sub.add_parser("sweep", help="run a 2-parameter phase-diagram sweep")
-    _add_model_args(p)
-    _add_common(p)
-    p.add_argument("--measures", action="store_true",
-                   help="also compute BLP/RHP per cell")
-    p.set_defaults(func=_cmd_sweep)
+    for command, func, help_text in (
+            ("classify", _cmd_classify, "classify one model into PD0/PD1/PD2"),
+            ("blp", _cmd_blp, "trace-distance (BLP) measure of one model"),
+            ("rhp", _cmd_rhp, "divisibility (RHP) measure of one model"),
+            ("sweep", _cmd_sweep, "run a 2-parameter phase-diagram sweep")):
+        p = sub.add_parser(command, help=help_text)
+        _add_model_args(p)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
 
     # no prefix matching here: "--out" must not pass for "--out-dir"
     p = sub.add_parser("figure", help="regenerate a preset figure", allow_abbrev=False)
     p.add_argument("name", choices=figures.FIGURES)
-    p.add_argument("--out-dir", metavar="DIR", default=".")
+    p.add_argument("--out-dir", metavar="DIR")
     p.add_argument("--max-cells", type=int, metavar="N", default=500000)
-    _add_common(p, run=False)
+    _add_flags(p, "figure")
     p.set_defaults(func=_cmd_figure)
 
     return parser

@@ -1,13 +1,12 @@
 """Central numerical tolerances.
 
-Every threshold used anywhere in the package lives in one immutable value so
-that a run can be tightened or loosened coherently instead of hunting down
-magic numbers in individual modules.
+Every threshold used anywhere in the package lives in one immutable value,
+:data:`DEFAULT`, instead of as magic numbers in individual modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,6 @@ class Tolerances:
     integration: float = 1e-6
     #: Absolute target for adaptive quadrature of rate integrals.
     quadrature: float = 1e-10
-
-    def with_(self, **kwargs) -> "Tolerances":
-        """Copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT = Tolerances()

@@ -262,12 +262,9 @@ def _scan_diagonal(grid: models.PropagatorGrid):
 
 def complement_scan(
     grid: models.PropagatorGrid,
-    cond_threshold: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
+    cond_threshold: float = config.DEFAULT.cond_threshold,
 ) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
-    if cond_threshold is None:
-        cond_threshold = tolerances.cond_threshold
     if grid.diagonal:
         cp, p, trace_norm, singular, noise = _scan_diagonal(grid)
     else:
@@ -278,19 +275,16 @@ def complement_scan(
                           cp, p, trace_norm, singular, noise)
 
 
-def verdict_from_scan(
-    scan: ComplementScan, tol: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> DivisibilityVerdict:
+def verdict_from_scan(scan: ComplementScan, tol: float | None = None) -> DivisibilityVerdict:
     """Fold per-step witnesses into a verdict.
 
     ``tol`` is the absolute per-step witness tolerance; by default it scales
-    with the step as ``tolerances.violation_per_eps * epsilon``. A step only
-    votes for a violation when its witness is beyond both ``tol`` and its
-    numerical noise floor.
+    with the step as ``config.DEFAULT.violation_per_eps * epsilon``. A step
+    only votes for a violation when its witness is beyond both ``tol`` and
+    its numerical noise floor.
     """
     if tol is None:
-        tol = tolerances.violation_per_eps * scan.epsilon
+        tol = config.DEFAULT.violation_per_eps * scan.epsilon
     valid = ~scan.singular
     if not valid.any():
         raise AllStepsSingular("every complement step over the horizon failed")
@@ -318,7 +312,6 @@ def classify(
     n_steps: int = 500,
     epsilon: float | None = None,
     tol: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
 ) -> DivisibilityVerdict:
     """Classify a process over ``[0, horizon]`` into PD0 / PD1 / PD2.
 
@@ -327,9 +320,8 @@ def classify(
     and applies the CP and positivity tests. Singular timepoints are
     excluded from voting and reported in the verdict.
     """
-    grid = models.propagator_grid(model, horizon, n_steps, epsilon, tolerances)
-    scan = complement_scan(grid, tolerances=tolerances)
-    return verdict_from_scan(scan, tol, tolerances)
+    grid = models.propagator_grid(model, horizon, n_steps, epsilon)
+    return verdict_from_scan(complement_scan(grid), tol)
 
 
 def near_boundary(verdict: DivisibilityVerdict) -> bool:

@@ -11,19 +11,6 @@ class NotHermitian(KdivisError):
     """An operator failed its Hermiticity check."""
 
 
-class SingularMap(KdivisError):
-    """A superoperator is not invertible under the active condition threshold.
-
-    For time-local propagators this signals a physically meaningful zero of
-    the map (e.g. the coherence amplitude of strong-coupling amplitude
-    damping vanishing), never a silent fallback to a pseudo-inverse.
-    """
-
-    def __init__(self, message: str, cond: float | None = None):
-        super().__init__(message)
-        self.cond = cond
-
-
 class QuadratureFailure(KdivisError):
     """Adaptive integration of a rate function did not converge."""
 

@@ -157,7 +157,6 @@ def blp_measure(
     horizon: float,
     n_steps: int = 500,
     n_pairs: int = 64,
-    tolerances: config.Tolerances = config.DEFAULT,
 ) -> BlpResult:
     """BLP measure of a model over ``[0, horizon]``.
 
@@ -165,8 +164,7 @@ def blp_measure(
     directions, so the result is a reproducible lower bound to the full
     pair-optimized measure.
     """
-    grid = models.propagator_grid(model, horizon, n_steps, tolerances=tolerances)
-    return blp_from_grid(grid, n_pairs)
+    return blp_from_grid(models.propagator_grid(model, horizon, n_steps), n_pairs)
 
 
 def rhp_from_scan(scan: divisibility.ComplementScan) -> RhpResult:
@@ -193,43 +191,25 @@ def rhp_measure(
     horizon: float,
     n_steps: int = 500,
     epsilon: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
 ) -> RhpResult:
     """RHP measure of a model over ``[0, horizon]``.
 
     Singular complement steps are skipped and reported; the integral runs
     over the remaining trapezoids.
     """
-    grid = models.propagator_grid(model, horizon, n_steps, epsilon, tolerances)
-    scan = divisibility.complement_scan(grid, tolerances=tolerances)
+    grid = models.propagator_grid(model, horizon, n_steps, epsilon)
+    scan = divisibility.complement_scan(grid)
     if scan.singular.all():
         raise AllStepsSingular("every complement step over the horizon failed")
     return rhp_from_scan(scan)
 
 
-def blp_detects(
-    model,
-    horizon: float,
-    n_steps: int = 500,
-    n_pairs: int = 64,
-    threshold: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> bool:
+def blp_detects(model, horizon: float, n_steps: int = 500, n_pairs: int = 64) -> bool:
     """Whether the BLP measure exceeds the detection threshold."""
-    if threshold is None:
-        threshold = tolerances.detection
-    return blp_measure(model, horizon, n_steps, n_pairs, tolerances).measure > threshold
+    return blp_measure(model, horizon, n_steps, n_pairs).measure > config.DEFAULT.detection
 
 
-def rhp_detects(
-    model,
-    horizon: float,
-    n_steps: int = 500,
-    epsilon: float | None = None,
-    threshold: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> bool:
+def rhp_detects(model, horizon: float, n_steps: int = 500,
+                epsilon: float | None = None) -> bool:
     """Whether the RHP measure exceeds the detection threshold."""
-    if threshold is None:
-        threshold = tolerances.detection
-    return rhp_measure(model, horizon, n_steps, epsilon, tolerances).measure > threshold
+    return rhp_measure(model, horizon, n_steps, epsilon).measure > config.DEFAULT.detection

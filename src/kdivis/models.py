@@ -35,6 +35,7 @@ oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_type_hints
@@ -102,6 +103,8 @@ class RateFn:
     @classmethod
     def constant(cls, c: float) -> "RateFn":
         c = float(c)
+        if not math.isfinite(c):
+            raise ValueError(f"constant rate must be finite, got {c}")
         return cls(f"const:{c:g}", lambda t: c * np.ones_like(np.asarray(t, float)),
                    lambda t: c * np.asarray(t, float))
 
@@ -130,44 +133,53 @@ class RateFn:
             if spec in _RATE_NAMES:
                 return getattr(cls, _RATE_NAMES[spec])()
             try:
-                return cls.constant(float(spec))
+                c = float(spec)
             except ValueError:
                 raise ValueError(f"unknown rate spec {spec!r}") from None
+            return cls.constant(c)
         if callable(spec):
             return cls("custom", spec)
         raise TypeError(f"cannot build a rate function from {spec!r}")
 
-    def integral(self, t: float, tolerances: config.Tolerances = config.DEFAULT) -> float:
+    def integral(self, t: float) -> float:
         """Integral of the rate over ``[0, t]``."""
         if self.antiderivative is not None:
             return float(self.antiderivative(t) - self.antiderivative(0.0))
-        return _quad_checked(self.fn, 0.0, t, tolerances)
+        return _quad_checked(self.fn, 0.0, t)
 
-    def integrals_on_grid(self, times: np.ndarray,
-                          tolerances: config.Tolerances = config.DEFAULT) -> np.ndarray:
+    def integrals_on_grid(self, times: np.ndarray) -> np.ndarray:
         """Integrals from 0 to each entry of a sorted time grid."""
         times = np.asarray(times, dtype=float)
         if self.antiderivative is not None:
             return np.asarray(self.antiderivative(times) - self.antiderivative(0.0), dtype=float)
-        segs = [0.0 if times[0] == 0.0 else _quad_checked(self.fn, 0.0, times[0], tolerances)]
+        segs = [0.0 if times[0] == 0.0 else _quad_checked(self.fn, 0.0, times[0])]
         for a, b in zip(times[:-1], times[1:]):
-            segs.append(_quad_checked(self.fn, a, b, tolerances))
+            segs.append(_quad_checked(self.fn, a, b))
         return np.cumsum(segs)
 
 
-def _quad_checked(fn, a, b, tolerances: config.Tolerances) -> float:
+def _quad_checked(fn, a, b) -> float:
     if a == b:
         return 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            val, err = quad(fn, a, b, epsabs=tolerances.quadrature, limit=200)
+            val, err = quad(fn, a, b, epsabs=config.DEFAULT.quadrature, limit=200)
         except IntegrationWarning as exc:
             raise QuadratureFailure(f"rate integral on [{a}, {b}] did not converge: {exc}") from exc
-    if err > 1e4 * tolerances.quadrature:
+    if err > 1e4 * config.DEFAULT.quadrature:
         raise QuadratureFailure(
             f"rate integral on [{a}, {b}] error estimate {err:.2e} above target")
     return float(val)
+
+
+def _check_finite(model, *attrs: str) -> None:
+    """Raise ``ValueError`` naming the first of the number fields ``attrs``
+    of ``model`` that is NaN or infinite."""
+    for attr in attrs:
+        val = getattr(model, attr)
+        if not math.isfinite(val):
+            raise ValueError(f"{_PARAM_NAMES.get(attr, attr)} must be finite, got {val}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +198,10 @@ class PauliChannelModel:
 
     def __post_init__(self):
         for name in ("g1", "g2", "g3"):
-            object.__setattr__(self, name, RateFn.of(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, RateFn.of(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     @classmethod
     def constant(cls, c1: float, c2: float, c3: float) -> "PauliChannelModel":
@@ -206,12 +221,12 @@ class PauliChannelModel:
     def rates(self) -> tuple[RateFn, RateFn, RateFn]:
         return (self.g1, self.g2, self.g3)
 
-    def bloch_eigenvalues(self, times, tolerances: config.Tolerances = config.DEFAULT) -> np.ndarray:
+    def bloch_eigenvalues(self, times) -> np.ndarray:
         """Bloch scaling factors ``lambda_j(t) = exp(-Gamma_k - Gamma_l)``,
         ``(j, k, l)`` cyclic, on a sorted time grid; shape ``(len(times), 3)``.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        gam = np.stack([g.integrals_on_grid(times, tolerances) for g in self.rates], axis=1)
+        gam = np.stack([g.integrals_on_grid(times) for g in self.rates], axis=1)
         lam = np.empty_like(gam)
         for j, (k, l) in enumerate(((1, 2), (2, 0), (0, 1))):
             lam[:, j] = np.exp(-(gam[:, k] + gam[:, l]))
@@ -227,14 +242,11 @@ def pauli_generator(model: PauliChannelModel, t: float) -> np.ndarray:
     return out
 
 
-def pauli_propagator_analytic(
-    model: PauliChannelModel, t: float,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> np.ndarray:
+def pauli_propagator_analytic(model: PauliChannelModel, t: float) -> np.ndarray:
     """Propagator of the Pauli channel, diagonal in the Pauli basis."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam = model.bloch_eigenvalues(np.array([t]), tolerances)[0]
+    lam = model.bloch_eigenvalues(np.array([t]))[0]
     return qmat.pauli_diagonal_superop(lam)
 
 
@@ -261,6 +273,7 @@ class AmplitudeDampingModel:
     lam: float
 
     def __post_init__(self):
+        _check_finite(self, "gamma0", "lam")
         if self.gamma0 <= 0 or self.lam <= 0:
             raise ValueError("gamma0 and lam must be positive")
 
@@ -407,6 +420,7 @@ class CnotControlModel:
     env_factor = 0
 
     def __post_init__(self):
+        _check_finite(self, "J", "gamma", "a")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must lie in [0, 1]")
         if self.gamma < 0.0:
@@ -439,6 +453,7 @@ class SuperradianceModel:
     env_factor = 1
 
     def __post_init__(self):
+        _check_finite(self, "gamma0", "x", "a")
         if self.gamma0 <= 0.0:
             raise ValueError("gamma0 must be positive")
         if self.x <= 0.0:
@@ -481,10 +496,7 @@ def _rk4(gen_fn, t: float, steps: int, y0: np.ndarray) -> np.ndarray:
     return y
 
 
-def propagate_rk4(
-    gen_fn, t: float, steps: int, check: bool = False,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> np.ndarray:
+def propagate_rk4(gen_fn, t: float, steps: int, check: bool = False) -> np.ndarray:
     """Fixed-step fourth-order integration of ``dE/dt = L(t) E`` from E(0)=I.
 
     ``gen_fn`` maps a time to a generator in superoperator form (any square
@@ -501,7 +513,7 @@ def propagate_rk4(
     if check:
         e_fine = _rk4(gen_fn, t, 2 * steps, eye)
         dev = np.abs(e_fine - e).max()
-        if dev > tolerances.integration:
+        if dev > config.DEFAULT.integration:
             raise IntegrationUnstable(
                 f"halving the step changed the propagator by {dev:.2e}")
         e = e_fine
@@ -545,7 +557,6 @@ def reduced_propagator(
     t: float,
     steps: int,
     check: bool = False,
-    tolerances: config.Tolerances = config.DEFAULT,
 ) -> np.ndarray:
     """System propagator ``rho_S -> Tr_env[e^{L t}(rho_S x rho_env)]``.
 
@@ -553,7 +564,7 @@ def reduced_propagator(
     state under the two-qubit generator ``gen`` and traces out the factor
     ``which_env``.
     """
-    qmat.validate_density_matrix(env_state, tolerances)
+    qmat.validate_density_matrix(env_state)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if steps < 1:
@@ -567,7 +578,7 @@ def reduced_propagator(
         y_fine = _rk4(lambda _t: gen, t, 2 * steps, cols)
         dev = np.abs(_reduce_joint_columns(y_fine, which_env)
                      - _reduce_joint_columns(y, which_env)).max()
-        if dev > tolerances.integration:
+        if dev > config.DEFAULT.integration:
             raise IntegrationUnstable(
                 f"halving the step changed the reduced propagator by {dev:.2e}")
         y = y_fine
@@ -655,8 +666,8 @@ def check_time_grid(horizon: float, n_steps: int,
     """Grid spacing ``dt`` and complement step ``eps`` (default ``dt``) of a
     uniform grid over ``[0, horizon]``; raises ``ValueError`` when the grid
     or the step is invalid."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     dt = horizon / n_steps
@@ -672,7 +683,6 @@ def propagator_grid(
     horizon: float,
     n_steps: int,
     eps: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
 ) -> PropagatorGrid:
     """Build the propagator family of a model on a uniform time grid."""
     dt, eps = check_time_grid(horizon, n_steps, eps)
@@ -681,7 +691,7 @@ def propagator_grid(
 
     if isinstance(model, PauliChannelModel):
         def diagonal_ptm(ts):
-            return _diagonal_ptm(model.bloch_eigenvalues(ts, tolerances), 0.0)
+            return _diagonal_ptm(model.bloch_eigenvalues(ts), 0.0)
     elif isinstance(model, AmplitudeDampingModel):
         def diagonal_ptm(ts):
             g = model.survival(ts)

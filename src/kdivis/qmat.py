@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from .errors import NotHermitian, SingularMap
+from .errors import NotHermitian
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,22 +40,9 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(vector: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`; the output dimension is inferred."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    dim = int(round(np.sqrt(v.size)))
-    return v.reshape(dim, dim, order="F")
-
-
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator of X -> A X B."""
     return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> U X U^dag."""
-    u = np.asarray(u, dtype=complex)
-    return np.kron(u.conj(), u)
 
 
 def superop_from_kraus(kraus_ops) -> np.ndarray:
@@ -65,10 +52,6 @@ def superop_from_kraus(kraus_ops) -> np.ndarray:
         term = np.kron(np.asarray(k, dtype=complex).conj(), k)
         out = term if out is None else out + term
     return out
-
-
-def identity_superop() -> np.ndarray:
-    return np.eye(4, dtype=complex)
 
 
 def depolarizing_superop() -> np.ndarray:
@@ -88,38 +71,9 @@ def pauli_diagonal_superop(mu) -> np.ndarray:
 
 
 def apply_superop(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a superoperator in matrix form to an operator."""
-    return unvec(np.asarray(e, dtype=complex) @ vec(x))
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Map composition ``(a . b)(X) = a(b(X))``, i.e. the matrix product."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def invert(
-    e: np.ndarray,
-    cond_threshold: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> np.ndarray:
-    """Inverse superoperator.
-
-    Raises :class:`SingularMap` when the condition number exceeds the
-    threshold; callers decide how to handle singular propagator timepoints.
-    """
-    if cond_threshold is None:
-        cond_threshold = tolerances.cond_threshold
-    e = np.asarray(e, dtype=complex)
-    s = np.linalg.svd(e, compute_uv=False)
-    if s[-1] == 0.0 or not np.isfinite(s).all():
-        raise SingularMap("superoperator is exactly singular", cond=np.inf)
-    cond = s[0] / s[-1]
-    if cond > cond_threshold:
-        raise SingularMap(
-            f"condition number {cond:.3e} exceeds threshold {cond_threshold:.1e}",
-            cond=cond,
-        )
-    return np.linalg.inv(e)
+    """Apply a superoperator in matrix form to a square operator."""
+    x = np.asarray(x, dtype=complex)
+    return (np.asarray(e, dtype=complex) @ vec(x)).reshape(x.shape, order="F")
 
 
 def reshuffle(m: np.ndarray) -> np.ndarray:
@@ -191,30 +145,6 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def min_eigenvalue(
-    h: np.ndarray, tolerances: config.Tolerances = config.DEFAULT
-) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Raises :class:`NotHermitian` when the symmetry check fails.
-    """
-    h = np.asarray(h, dtype=complex)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > tolerances.check:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def partial_trace(x: np.ndarray, traced_factor: int) -> np.ndarray:
-    """Trace a 4x4 two-qubit operator over one tensor factor (0 or 1)."""
-    t = np.asarray(x, dtype=complex).reshape(2, 2, 2, 2)
-    if traced_factor == 0:
-        return np.einsum("ijil->jl", t)
-    if traced_factor == 1:
-        return np.einsum("ijkj->ik", t)
-    raise ValueError("traced_factor must be 0 or 1")
-
-
 def pauli_transfer_matrix(e: np.ndarray) -> np.ndarray:
     """Real Pauli transfer matrix ``F_mn = Tr(sigma_m E(sigma_n)) / 2``.
 
@@ -246,46 +176,34 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(s @ rho).real for s in PAULIS[1:]])
 
 
-def validate_density_matrix(
-    rho: np.ndarray, tolerances: config.Tolerances = config.DEFAULT
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; returns the input array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > tolerances.hermiticity:
+    if herm > config.DEFAULT.hermiticity:
         raise NotHermitian(f"state deviates from Hermitian by {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tolerances.hermiticity:
+    if abs(tr - 1.0) > config.DEFAULT.hermiticity:
         raise ValueError(f"state trace {tr} is not 1")
     lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -tolerances.check:
+    if lo < -config.DEFAULT.check:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
     return rho
 
 
-def is_trace_preserving(
-    e: np.ndarray, tol: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> bool:
+def is_trace_preserving(e: np.ndarray, tol: float = config.DEFAULT.check) -> bool:
     """Whether ``vec(I)^dag E = vec(I)^dag`` within tolerance."""
-    if tol is None:
-        tol = tolerances.check
     vid = vec(IDENTITY)
     return bool(np.abs(vid.conj() @ np.asarray(e, dtype=complex) - vid.conj()).max() <= tol)
 
 
-def is_hermiticity_preserving(
-    e: np.ndarray, tol: float | None = None,
-    tolerances: config.Tolerances = config.DEFAULT,
-) -> bool:
+def is_hermiticity_preserving(e: np.ndarray, tol: float = config.DEFAULT.check) -> bool:
     """Whether the map sends Hermitian inputs to Hermitian outputs.
 
     Equivalent to Hermiticity of the Choi matrix.
     """
-    if tol is None:
-        tol = tolerances.check
     c = choi_of(e)
     return bool(np.abs(c - c.conj().T).max() <= tol)
 

@@ -67,7 +67,6 @@ class GridSpec:
     #: measure detection threshold; None for the configured default
     detection: float | None = None
     n_pairs: int = 64
-    tolerances: config.Tolerances = config.DEFAULT
 
     def __post_init__(self):
         if self.family not in models.MODEL_FAMILIES:
@@ -79,6 +78,8 @@ class GridSpec:
                     f"{axis.name!r} is not a parameter of family {self.family!r}")
             if axis.n < 2:
                 raise ValueError("axis needs at least 2 points")
+            if not (math.isfinite(axis.lo) and math.isfinite(axis.hi)):
+                raise ValueError(f"axis {axis.name!r} bounds must be finite")
             if not axis.lo < axis.hi:
                 raise ValueError("axis range must have min < max")
         if self.x.name == self.y.name:
@@ -94,6 +95,13 @@ class GridSpec:
                 raise ValueError(
                     f"fixed parameter {key!r} must be a number or a rate "
                     f"vocabulary string, got {type(val).__name__}")
+            try:
+                if models.MODEL_PARAMS[key].rate:
+                    models.RateFn.of(val)
+                elif not math.isfinite(float(val)):
+                    raise ValueError(f"must be finite, got {val}")
+            except ValueError as exc:
+                raise ValueError(f"fixed parameter {key!r}: {exc}") from None
         models.check_time_grid(self.horizon, self.n_steps, self.epsilon)
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
@@ -105,7 +113,7 @@ class GridSpec:
         return models.model_from_params(self.family, params)
 
     def detection_threshold(self) -> float:
-        return self.tolerances.detection if self.detection is None else self.detection
+        return config.DEFAULT.detection if self.detection is None else self.detection
 
 
 @dataclass(frozen=True)
@@ -175,10 +183,9 @@ def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
                    compute_measures: bool) -> CellResult:
     try:
         model = spec.cell_model(xv, yv)
-        grid = models.propagator_grid(model, spec.horizon, spec.n_steps,
-                                      spec.epsilon, spec.tolerances)
-        scan = divisibility.complement_scan(grid, tolerances=spec.tolerances)
-        verdict = divisibility.verdict_from_scan(scan, spec.tol, spec.tolerances)
+        grid = models.propagator_grid(model, spec.horizon, spec.n_steps, spec.epsilon)
+        scan = divisibility.complement_scan(grid)
+        verdict = divisibility.verdict_from_scan(scan, spec.tol)
         blp = rhp = None
         if compute_measures:
             blp = measures.blp_from_grid(grid, spec.n_pairs).measure

@@ -249,14 +249,114 @@ def test_model_parameter_flag_and_config_type(family, name, attr, tmp_path, caps
     assert f"config field model/{name}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--out", "x"], ["--horizon", "1"], ["--steps", "3"],
-                                  ["--epsilon", "99"], ["--tol", "7"]])
+#: (subcommand and its positional, a flag it does not read) for every
+#: subcommand; sweep reads every run and output flag
+IGNORED_FLAGS = [
+    *((["figure", "fig1"], f) for f in (["--out", "x"], ["--horizon", "1"], ["--steps", "3"],
+                                         ["--epsilon", "99"], ["--tol", "7"])),
+    *((["classify", "hall"], f) for f in (["--out", "x"], ["--format", "svg"], ["--jobs", "7"],
+                                           ["--pairs", "3"], ["--detection", "1"])),
+    *((["blp", "hall"], f) for f in (["--epsilon", "0.001"], ["--tol", "5"],
+                                      ["--format", "svg"], ["--jobs", "7"])),
+    *((["rhp", "hall"], f) for f in (["--tol", "5"], ["--format", "svg"], ["--jobs", "7"],
+                                      ["--pairs", "3"])),
+]
+
+
+@pytest.mark.parametrize("flag", [command + f for command, f in IGNORED_FLAGS])
 def test_figure_rejects_flags_it_does_not_read(flag, tmp_path, monkeypatch, capsys):
+    # every subcommand, figure first; the flag is the last two arguments
     monkeypatch.chdir(tmp_path)  # a parser that took the flag would write here
     with pytest.raises(SystemExit) as exc:
-        main(["figure", "fig1", *flag])
+        main(flag)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag[2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_subcommands_take_the_flags_they_read(tmp_path):
+    parser = cli.build_parser()
+    for argv in (["classify", "hall", "--horizon", "1", "--steps", "3", "--epsilon", "0.1",
+                  "--tol", "1e-6"],
+                 ["blp", "hall", "--horizon", "1", "--steps", "3", "--pairs", "2",
+                  "--detection", "0.1", "--out", "x"],
+                 ["rhp", "hall", "--horizon", "1", "--steps", "3", "--epsilon", "0.1",
+                  "--detection", "0.1", "--out", "x"],
+                 ["sweep", "--horizon", "1", "--steps", "3", "--epsilon", "0.1", "--tol", "1",
+                  "--pairs", "2", "--detection", "1", "--out", "x", "--format", "csv",
+                  "--jobs", "1", "--measures"],
+                 ["figure", "fig1", "--format", "csv", "--jobs", "1"]):
+        parser.parse_args([*argv, "--config", str(tmp_path / "c.json")])
+
+
+@pytest.mark.parametrize("cfg, keys", [
+    ({"run": {"steps": 3, "horizon": 1.0}}, "['run.steps', 'run.horizon']"),
+    ({"model": {"family": "ad"}, "run": {"jobs": 1}}, "['model']"),
+    ({"sweep": {"x": {"name": "gamma0", "min": 0.1, "max": 1.0, "n": 2},
+                "y": {"name": "lambda", "min": 0.1, "max": 1.0, "n": 2}}}, "['sweep']"),
+    ({"output": {"path": "p", "dir": "d"}}, "['output.path']"),
+])
+def test_figure_rejects_config_keys_it_does_not_read(cfg, keys, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "figs"
+    assert main(["figure", "fig1", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    assert f"figure does not read config key(s) {keys}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_figure_reads_jobs_and_output_dir_and_format_from_config(tmp_path, monkeypatch):
+    small = [sweep.GridSpec(
+        family="ad", x=sweep.ParamRange("gamma0", 0.1, 1.5, 2),
+        y=sweep.ParamRange("lambda", 0.4, 1.6, 2), fixed={}, horizon=2.0, n_steps=20)]
+    monkeypatch.setattr(figures, "figure_specs", lambda name: small)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"run": {"jobs": 1},
+                                "output": {"dir": str(tmp_path / "figs"), "format": "csv"}}))
+    assert main(["figure", "fig3", "--config", str(path)]) == 0
+    assert [p.name for p in (tmp_path / "figs").iterdir()] == ["fig3.csv"]
+    # the flag overrides the config's directory
+    assert main(["figure", "fig3", "--config", str(path), "--out-dir", "flag"]) == 0
+    assert [p.name for p in (tmp_path / "flag").iterdir()] == ["fig3.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "figs", "flag"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "cnot", "--gamma", "nan"], "gamma must be finite, got nan"),
+    (["classify", "ad", "--gamma0", "nan"], "gamma0 must be finite, got nan"),
+    (["blp", "superradiance", "--x", "inf"], "x must be finite, got inf"),
+    (["rhp", "pauli", "--g2=-inf"], "g2: constant rate must be finite, got -inf"),
+])
+def test_non_finite_model_flag_is_model_error(argv, message, capsys):
+    assert main([*argv, "--steps", "20"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["classify", "hall", "--tol", "nan"], "run/tolerance: nan"),
+    (["blp", "hall", "--detection", "inf"], "run/detection: inf"),
+    (["rhp", "hall", "--horizon", "inf"], "run/horizon: inf"),
+])
+def test_non_finite_run_flag_is_config_error(argv, field, capsys):
+    assert main(argv) == 1
+    assert f"config error: config field {field} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_literal_is_config_error(literal, tmp_path, capsys):
+    # Python's json accepts these literals; a sweep with one failed every cell
+    text = json.dumps({
+        "model": {"family": "cnot", "J": 1.0},
+        "sweep": {"x": {"name": "gamma", "min": 0.01, "max": 1.0, "n": 2},
+                  "y": {"name": "a", "min": 0.0, "max": 1.0, "n": 2}},
+        "run": {"horizon": 2.0, "steps": 20, "jobs": 1},
+        "output": {"path": str(tmp_path / "s")}}).replace("1.0,", f"{literal},", 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert f"{literal} is not a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "0"])

@@ -40,8 +40,9 @@ def test_grid_spec_validation():
 @pytest.mark.parametrize("kwargs", [
     {"horizon": 0.0}, {"horizon": -1.0}, {"n_steps": 1},
     {"epsilon": 0.0}, {"epsilon": -0.1}, {"epsilon": 0.3},  # dt = 40/200 = 0.2
-    {"n_pairs": 0},
-], ids=["horizon0", "horizon-neg", "steps1", "eps0", "eps-neg", "eps-over-dt", "pairs0"])
+    {"n_pairs": 0}, {"horizon": float("inf")}, {"horizon": float("nan")},
+], ids=["horizon0", "horizon-neg", "steps1", "eps0", "eps-neg", "eps-over-dt", "pairs0",
+        "horizon-inf", "horizon-nan"])
 def test_grid_spec_rejects_invalid_run_parameters(kwargs):
     with pytest.raises(ValueError):
         _tiny_ad_spec(**kwargs)
@@ -67,6 +68,18 @@ def test_grid_spec_rejects_unknown_fixed_parameter():
 def test_grid_spec_rejects_fixed_parameter_shadowing_an_axis():
     with pytest.raises(ValueError, match="gamma"):
         _cnot_spec({"J": 1.0, "gamma": 0.5})
+
+
+def test_grid_spec_rejects_non_finite_values():
+    for fixed in ({"J": float("nan")}, {"J": float("inf")}, {"J": "-inf"}):
+        with pytest.raises(ValueError, match="fixed parameter 'J': must be finite"):
+            _cnot_spec(fixed)
+    with pytest.raises(ValueError, match="fixed parameter 'g3': constant rate must be finite"):
+        GridSpec(family="pauli", x=ParamRange("g1", -1.0, 1.0, 3),
+                 y=ParamRange("g2", -1.0, 1.0, 3), fixed={"g3": "nan"}, horizon=1.0)
+    for lo, hi in ((float("-inf"), 1.0), (0.1, float("inf")), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="axis 'gamma0' bounds must be finite"):
+            _tiny_ad_spec(x=ParamRange("gamma0", lo, hi, 5))
 
 
 def test_cell_model_binds_axes():
