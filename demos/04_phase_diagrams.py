@@ -52,8 +52,7 @@ def main():
         counts = {}
         for cell in grid.cells:
             counts[cell.pd_class] = counts.get(cell.pd_class, 0) + 1
-        figures.atomic_write_text(OUT / f"{name}.csv", sweep.encode_csv(grid))
-        figures.atomic_write_text(OUT / f"{name}.svg", sweep.encode_svg(grid))
+        figures.write_grid(grid, OUT / name)
         print(f"{name:18s} {spec.x.n}x{spec.y.n} cells in {elapsed:5.1f}s   {counts}")
     print(f"\nwrote CSV + SVG pairs into {OUT}/")
 

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -28,6 +29,58 @@ __all__ = ["main", "PRESETS", "CONFIG_SCHEMA", "load_run_config", "RunConfigErro
 class RunConfigError(Exception):
     """Invalid or unparsable run configuration (exit code 1)."""
 
+
+class _Setting(NamedTuple):
+    """One run or output setting: its flag (None if only a config file sets
+    it), config block and key (None for ``--config``, which names the file),
+    argparse settings, JSON schema, default, and the subcommands that read
+    it. A subcommand takes no other flag; ``figure`` accepts no other key."""
+
+    flag: str | None
+    block: str | None
+    key: str | None
+    args: dict
+    schema: dict | None
+    default: object
+    readers: set
+
+
+#: flags in help order; the run and output schema, flag overrides and
+#: defaults derive from this table
+_SETTINGS = (
+    _Setting("--pairs", "run", "pairs", dict(type=int, metavar="N"),
+             {"type": "integer", "minimum": 1}, 64, {"blp", "sweep"}),
+    _Setting("--detection", "run", "detection", dict(type=float, metavar="F"),
+             {"type": "number", "exclusiveMinimum": 0}, config.DEFAULT.detection,
+             {"blp", "rhp", "sweep"}),
+    _Setting("--config", None, None, dict(metavar="PATH", help="JSON run config"),
+             None, None, {"classify", "blp", "rhp", "sweep", "figure"}),
+    _Setting("--out", "output", "path", dict(metavar="PATH", help="output path"),
+             {"type": "string"}, "sweep", {"blp", "rhp", "sweep"}),
+    _Setting("--format", "output", "format", dict(choices=figures.FORMATS),
+             {"enum": list(figures.FORMATS)}, "both", {"sweep", "figure"}),
+    # no default: a run without a horizon is a config error
+    _Setting("--horizon", "run", "horizon", dict(type=float, metavar="F"),
+             {"type": "number", "exclusiveMinimum": 0}, None,
+             {"classify", "blp", "rhp", "sweep"}),
+    _Setting("--steps", "run", "steps", dict(type=int, metavar="N"),
+             {"type": "integer", "minimum": 2}, 500, {"classify", "blp", "rhp", "sweep"}),
+    _Setting("--epsilon", "run", "epsilon", dict(type=float, metavar="F"),
+             {"type": ["number", "null"], "exclusiveMinimum": 0}, None,
+             {"classify", "rhp", "sweep"}),
+    _Setting("--tol", "run", "tolerance",
+             dict(type=float, metavar="F", help="absolute per-step witness tolerance"),
+             {"type": "number", "exclusiveMinimum": 0}, None, {"classify", "sweep"}),
+    _Setting("--jobs", "run", "jobs",
+             dict(type=int, metavar="N",
+                  help="worker processes (default: KDIVIS_JOBS or CPU count)"),
+             {"type": "integer", "minimum": 1}, None, {"sweep", "figure"}),
+    # default None: an absent flag leaves the config's value in force
+    _Setting("--measures", "run", "measures",
+             dict(action="store_true", default=None, help="also compute BLP/RHP per cell"),
+             {"type": "boolean"}, False, {"sweep"}),
+    _Setting(None, "output", "dir", {}, {"type": "string"}, ".", {"figure"}),
+)
 
 _AXIS = {
     "type": "object",
@@ -61,29 +114,9 @@ CONFIG_SCHEMA = {
             "properties": {"x": _AXIS, "y": _AXIS},
             "required": ["x", "y"],
         },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 2},
-                "epsilon": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "pairs": {"type": "integer", "minimum": 1},
-                "detection": {"type": "number", "exclusiveMinimum": 0},
-                "jobs": {"type": "integer", "minimum": 1},
-                "measures": {"type": "boolean"},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "dir": {"type": "string"},
-                "format": {"enum": ["csv", "svg", "both"]},
-            },
-        },
+        **{block: {"type": "object", "additionalProperties": False,
+                   "properties": {s.key: s.schema for s in _SETTINGS if s.block == block}}
+           for block in ("run", "output")},
     },
 }
 
@@ -188,25 +221,10 @@ def _flag_overrides(args) -> dict:
              if getattr(args, p.attr, None) is not None}
     if model:
         out["model"] = model
-    run = {}
-    for flag, key in (("horizon", "horizon"), ("steps", "steps"),
-                      ("epsilon", "epsilon"), ("tol", "tolerance"),
-                      ("pairs", "pairs"), ("detection", "detection"),
-                      ("jobs", "jobs")):
-        val = getattr(args, flag, None)
+    for setting in _SETTINGS:
+        val = getattr(args, setting.flag[2:], None) if setting.flag and setting.key else None
         if val is not None:
-            run[key] = val
-    if getattr(args, "measures", False):
-        run["measures"] = True
-    if run:
-        out["run"] = run
-    output = {}
-    if getattr(args, "out", None) is not None:
-        output["path"] = str(args.out)
-    if getattr(args, "format", None) is not None:
-        output["format"] = args.format
-    if output:
-        out["output"] = output
+            out.setdefault(setting.block, {})[setting.key] = val
     return out
 
 
@@ -219,43 +237,20 @@ def _build_model(cfg: dict):
     return models.model_from_params(model_cfg["family"], params)
 
 
+def _block(cfg: dict, block: str) -> dict:
+    """The ``run`` or ``output`` block of ``cfg``, unset keys at their defaults."""
+    return {**{s.key: s.default for s in _SETTINGS if s.block == block}, **cfg.get(block, {})}
+
+
 def _run_block(cfg: dict) -> dict:
-    run = dict(cfg.get("run", {}))
-    if "horizon" not in run:
+    run = _block(cfg, "run")
+    if run["horizon"] is None:
         raise RunConfigError("run.horizon is required (or pass --horizon)")
-    run.setdefault("steps", 500)
-    run.setdefault("epsilon", None)
-    run.setdefault("tolerance", None)
-    run.setdefault("pairs", 64)
-    run.setdefault("detection", None)
-    run.setdefault("jobs", None)
-    run.setdefault("measures", False)
     try:
         models.check_time_grid(run["horizon"], run["steps"], run["epsilon"])
     except ValueError as exc:
         raise RunConfigError(str(exc)) from exc
     return run
-
-
-def _grid_spec(cfg: dict) -> sweep.GridSpec:
-    model_cfg = cfg.get("model")
-    sweep_cfg = cfg.get("sweep")
-    if model_cfg is None or sweep_cfg is None:
-        raise RunConfigError("sweep runs need both a model block and a sweep block")
-    run = _run_block(cfg)
-    x = sweep.ParamRange(sweep_cfg["x"]["name"], sweep_cfg["x"]["min"],
-                         sweep_cfg["x"]["max"], sweep_cfg["x"]["n"])
-    y = sweep.ParamRange(sweep_cfg["y"]["name"], sweep_cfg["y"]["min"],
-                         sweep_cfg["y"]["max"], sweep_cfg["y"]["n"])
-    fixed = {k: v for k, v in model_cfg.items()
-             if k != "family" and k not in (x.name, y.name)}
-    try:
-        return sweep.GridSpec(
-            family=model_cfg["family"], x=x, y=y, fixed=fixed,
-            horizon=run["horizon"], n_steps=run["steps"], epsilon=run["epsilon"],
-            tol=run["tolerance"], detection=run["detection"], n_pairs=run["pairs"])
-    except ValueError as exc:
-        raise RunConfigError(str(exc)) from exc
 
 
 def _jobs(jobs: int | None) -> int:
@@ -303,10 +298,9 @@ def _cmd_blp(args) -> int:
     model = _build_model(cfg)
     run = _run_block(cfg)
     result = measures.blp_measure(model, run["horizon"], run["steps"], run["pairs"])
-    threshold = run["detection"] if run["detection"] is not None else config.DEFAULT.detection
     print(f"BLP measure: {result.measure:.6e}")
-    print(f"detected: {'yes' if result.measure > threshold else 'no'} "
-          f"(threshold {threshold:g})")
+    print(f"detected: {'yes' if result.measure > run['detection'] else 'no'} "
+          f"(threshold {run['detection']:g})")
     print(f"argmax pair direction: [{result.argmax_pair[0]:.6f}, "
           f"{result.argmax_pair[1]:.6f}, {result.argmax_pair[2]:.6f}]")
     if args.out:
@@ -321,10 +315,9 @@ def _cmd_rhp(args) -> int:
     model = _build_model(cfg)
     run = _run_block(cfg)
     result = measures.rhp_measure(model, run["horizon"], run["steps"], run["epsilon"])
-    threshold = run["detection"] if run["detection"] is not None else config.DEFAULT.detection
     print(f"RHP measure: {result.measure:.6e}")
-    print(f"detected: {'yes' if result.measure > threshold else 'no'} "
-          f"(threshold {threshold:g})")
+    print(f"detected: {'yes' if result.measure > run['detection'] else 'no'} "
+          f"(threshold {run['detection']:g})")
     if result.singular_times:
         print(f"singular steps skipped: {len(result.singular_times)}")
     if args.out:
@@ -336,38 +329,44 @@ def _cmd_rhp(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_run_config(args.preset, args.config, _flag_overrides(args))
-    spec = _grid_spec(cfg)
+    if "model" not in cfg or "sweep" not in cfg:
+        raise RunConfigError("sweep runs need both a model block and a sweep block")
     run = _run_block(cfg)
+    model_cfg, sweep_cfg = cfg["model"], cfg["sweep"]
+    x, y = (sweep.ParamRange(axis["name"], axis["min"], axis["max"], axis["n"])
+            for axis in (sweep_cfg["x"], sweep_cfg["y"]))
+    fixed = {k: v for k, v in model_cfg.items() if k != "family" and k not in (x.name, y.name)}
+    try:
+        spec = sweep.GridSpec(
+            family=model_cfg["family"], x=x, y=y, fixed=fixed,
+            horizon=run["horizon"], n_steps=run["steps"], epsilon=run["epsilon"],
+            tol=run["tolerance"], detection=run["detection"], n_pairs=run["pairs"])
+    except ValueError as exc:
+        raise RunConfigError(str(exc)) from exc
     grid = sweep.run_sweep(spec, compute_measures=run["measures"], jobs=_jobs(run["jobs"]))
-    output = cfg.get("output", {})
-    stem = Path(output.get("path", "sweep"))
-    fmt = output.get("format", "both")
-    written = []
-    if fmt in ("csv", "both"):
-        written.append(figures.atomic_write_text(
-            stem.with_suffix(".csv"), sweep.encode_csv(grid)))
-    if fmt in ("svg", "both"):
-        written.append(figures.atomic_write_text(
-            stem.with_suffix(".svg"), sweep.encode_svg(grid)))
-    for path in written:
+    output = _block(cfg, "output")
+    # write_grid appends the suffixes, so only a .csv or .svg one comes off
+    stem = output["path"]
+    if stem.endswith((".csv", ".svg")):
+        stem = stem[:-4]
+    for path in figures.write_grid(grid, stem, output["format"]):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_figure(args) -> int:
     cfg = load_run_config(None, args.config, _flag_overrides(args))
-    # the preset figure fixes model, sweep and run; only these keys apply
+    # the preset figure fixes model, sweep and run; only the keys it reads apply
+    reads = {(s.block, s.key) for s in _SETTINGS if "figure" in s.readers}
     unread = [block for block in ("model", "sweep") if block in cfg]
-    unread += [f"run.{key}" for key in cfg.get("run", {}) if key != "jobs"]
-    unread += ["output.path"] if "path" in cfg.get("output", {}) else []
+    unread += [f"{block}.{key}" for block in ("run", "output")
+               for key in cfg.get(block, {}) if (block, key) not in reads]
     if unread:
         raise RunConfigError(f"figure does not read config key(s) {unread}")
-    fmt = args.format or cfg.get("output", {}).get("format", "both")
-    out_dir = args.out_dir or cfg.get("output", {}).get("dir", ".")
-    written = figures.generate_figure(
-        args.name, out_dir, fmt=fmt, jobs=_jobs(cfg.get("run", {}).get("jobs")),
-        max_cells=args.max_cells)
-    for path in written:
+    run, output = _block(cfg, "run"), _block(cfg, "output")
+    for path in figures.generate_figure(
+            args.name, args.out_dir or output["dir"], fmt=output["format"],
+            jobs=_jobs(run["jobs"]), max_cells=args.max_cells):
         print(f"wrote {path}")
     return 0
 
@@ -375,28 +374,6 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-#: the run and output flags in help order, each with its argparse settings
-#: and the subcommands that read it; a subcommand takes no other flag
-_FLAGS = (
-    ("--pairs", dict(type=int, metavar="N"), {"blp", "sweep"}),
-    ("--detection", dict(type=float, metavar="F"), {"blp", "rhp", "sweep"}),
-    ("--config", dict(metavar="PATH", help="JSON run config"),
-     {"classify", "blp", "rhp", "sweep", "figure"}),
-    ("--out", dict(metavar="PATH", help="output path"), {"blp", "rhp", "sweep"}),
-    ("--format", dict(choices=("csv", "svg", "both")), {"sweep", "figure"}),
-    ("--horizon", dict(type=float, metavar="F"), {"classify", "blp", "rhp", "sweep"}),
-    ("--steps", dict(type=int, metavar="N"), {"classify", "blp", "rhp", "sweep"}),
-    ("--epsilon", dict(type=float, metavar="F"), {"classify", "rhp", "sweep"}),
-    ("--tol", dict(type=float, metavar="F", help="absolute per-step witness tolerance"),
-     {"classify", "sweep"}),
-    ("--jobs", dict(type=int, metavar="N",
-                    help="worker processes (default: KDIVIS_JOBS or CPU count)"),
-     {"sweep", "figure"}),
-    ("--measures", dict(action="store_true", help="also compute BLP/RHP per cell"),
-     {"sweep"}),
-)
-
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("preset", nargs="?", choices=sorted(PRESETS),
@@ -410,10 +387,10 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    """The flags of ``_FLAGS`` that ``command`` reads."""
-    for flag, kwargs, readers in _FLAGS:
-        if command in readers:
-            parser.add_argument(flag, **kwargs)
+    """The flags of ``_SETTINGS`` that ``command`` reads."""
+    for setting in _SETTINGS:
+        if setting.flag and command in setting.readers:
+            parser.add_argument(setting.flag, **setting.args)
 
 
 def build_parser() -> argparse.ArgumentParser:

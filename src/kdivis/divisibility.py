@@ -18,6 +18,7 @@ the one kernel the classifier and the RHP measure use; :func:`is_cp` and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,8 @@ def verdict_from_scan(scan: ComplementScan, tol: float | None = None) -> Divisib
     """
     if tol is None:
         tol = config.DEFAULT.violation_per_eps * scan.epsilon
+    elif not 0 < tol < math.inf:  # a NaN tol lets no witness vote: all PD2
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     valid = ~scan.singular
     if not valid.any():
         raise AllStepsSingular("every complement step over the horizon failed")

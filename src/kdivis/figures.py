@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import tempfile
 from pathlib import Path
 
 from . import divisibility, models, sweep
 from .errors import KdivisError
 
-__all__ = ["FIGURES", "generate_figure", "atomic_write_text", "CellBudgetExceeded"]
+__all__ = ["FIGURES", "FORMATS", "generate_figure", "write_grid", "atomic_write_text",
+           "CellBudgetExceeded"]
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
+FORMATS = ("csv", "svg", "both")
 
 #: rate-space extent and resolution of the fig1 slices
 _FIG1_RANGE = (-1.0, 1.0)
@@ -40,19 +43,37 @@ class CellBudgetExceeded(KdivisError):
 
 
 def atomic_write_text(path, text: str) -> Path:
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename. A new file
+    gets mode 0o666 less the umask; an overwritten one keeps its mode."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def write_grid(grid: sweep.PhaseDiagramGrid, stem, fmt: str = "both") -> list[Path]:
+    """Write ``grid`` to ``<stem>.csv`` and/or ``<stem>.svg``; returns the paths.
+    The suffix is appended, so a dot in the stem's name stays part of it."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return [atomic_write_text(f"{stem}.{ext}", encode(grid))
+            for ext, encode in (("csv", sweep.encode_csv), ("svg", sweep.encode_svg))
+            if fmt in (ext, "both")]
 
 
 def figure_specs(name: str) -> list[sweep.GridSpec]:
@@ -139,7 +160,7 @@ def generate_figure(
     max_cells: int | None = None,
 ) -> list[Path]:
     """Regenerate one figure; returns the written paths."""
-    if fmt not in ("csv", "svg", "both"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     specs = figure_specs(name)
     total = sum(s.x.n * s.y.n for s in specs)
@@ -147,7 +168,6 @@ def generate_figure(
         raise CellBudgetExceeded(
             f"{name} needs {total} cells, above the budget of {max_cells}")
 
-    out_dir = Path(out_dir)
     written = []
     for idx, spec in enumerate(specs):
         if name == "fig1":
@@ -156,10 +176,5 @@ def generate_figure(
         else:
             grid = sweep.run_sweep(spec, compute_measures=True, jobs=jobs)
             stem = name
-        if fmt in ("csv", "both"):
-            written.append(atomic_write_text(out_dir / f"{stem}.csv",
-                                             sweep.encode_csv(grid)))
-        if fmt in ("svg", "both"):
-            written.append(atomic_write_text(out_dir / f"{stem}.svg",
-                                             sweep.encode_svg(grid)))
+        written += write_grid(grid, Path(out_dir, stem), fmt)
     return written

@@ -105,7 +105,9 @@ class RateFn:
         c = float(c)
         if not math.isfinite(c):
             raise ValueError(f"constant rate must be finite, got {c}")
-        return cls(f"const:{c:g}", lambda t: c * np.ones_like(np.asarray(t, float)),
+        # RateFn equality compares tags, so a tag must give back c exactly
+        tag = f"{c:g}" if float(f"{c:g}") == c else repr(c)
+        return cls(f"const:{tag}", lambda t: c * np.ones_like(np.asarray(t, float)),
                    lambda t: c * np.asarray(t, float))
 
     @classmethod

@@ -64,8 +64,9 @@ class GridSpec:
     epsilon: float | None = None
     #: absolute per-step witness tolerance; None for the eps-scaled default
     tol: float | None = None
-    #: measure detection threshold; None for the configured default
-    detection: float | None = None
+    #: BLP level above which a cell counts as detected; the SVG draws the
+    #: level set where it splits the PD0 region
+    detection: float = config.DEFAULT.detection
     n_pairs: int = 64
 
     def __post_init__(self):
@@ -103,6 +104,10 @@ class GridSpec:
             except ValueError as exc:
                 raise ValueError(f"fixed parameter {key!r}: {exc}") from None
         models.check_time_grid(self.horizon, self.n_steps, self.epsilon)
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.detection is None or not 0 < self.detection < math.inf:
+            raise ValueError(f"detection must be positive and finite, got {self.detection}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
 
@@ -111,9 +116,6 @@ class GridSpec:
         params[self.x.name] = xv
         params[self.y.name] = yv
         return models.model_from_params(self.family, params)
-
-    def detection_threshold(self) -> float:
-        return config.DEFAULT.detection if self.detection is None else self.detection
 
 
 @dataclass(frozen=True)
@@ -414,8 +416,7 @@ def _blp_contour_segments(grid: PhaseDiagramGrid) -> list[tuple]:
     cells = grid.cells
     if all(c.blp is None for c in cells):
         return []
-    thr = (grid.spec.detection_threshold() if grid.spec is not None
-           else config.DEFAULT.detection)
+    thr = grid.spec.detection if grid.spec is not None else config.DEFAULT.detection
     pd0 = [c for c in cells if c.pd_class == "PD0" and c.blp is not None]
     detected = [c for c in pd0 if c.blp > thr]
     undetected = [c for c in pd0 if c.blp <= thr]

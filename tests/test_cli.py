@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
 import json
+import os
+import stat
 
 import pytest
 
-from kdivis import cli, figures, models, sweep
+from kdivis import cli, divisibility, figures, measures, models, sweep
 from kdivis.cli import main
 
 #: (family, config and flag name, model attribute) of every model parameter
@@ -377,3 +381,93 @@ def test_malformed_kdivis_jobs_is_config_error(value, tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == [path]  # nothing written
     # an explicit worker count does not read the variable
     assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
+
+
+def _tiny_sweep_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"family": "ad"},
+        "sweep": {"x": {"name": "gamma0", "min": 0.5, "max": 1.0, "n": 2},
+                  "y": {"name": "lambda", "min": 0.5, "max": 1.0, "n": 2}},
+        "run": {"horizon": 2.0, "steps": 20, "jobs": 1}}))
+    return path
+
+
+def test_sweep_output_name_keeps_its_dots(tmp_path, capsys):
+    path = _tiny_sweep_config(tmp_path)
+    runs = tmp_path / "runs"
+    for out in ("gamma0.5", "gamma0.7", "phase.csv", "map.svg"):
+        assert main(["sweep", "--config", str(path), "--out", str(runs / out)]) == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "gamma0.5.csv", "gamma0.5.svg", "gamma0.7.csv", "gamma0.7.svg",
+        "map.csv", "map.svg", "phase.csv", "phase.svg"]
+
+
+def test_output_files_get_the_umask_mode_and_keep_their_own(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "r.csv"
+        assert main(["rhp", "hall", "--steps", "50", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        out.chmod(0o640)
+        assert main(["rhp", "hall", "--steps", "50", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        os.umask(0o077)
+        new = figures.atomic_write_text(tmp_path / "new.csv", "t,value\n")
+        assert stat.S_IMODE(new.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+
+
+#: a value other than the default for every key of the settings table
+SETTING_VALUES = {
+    "run.pairs": 3, "run.detection": 0.5, "run.horizon": 2.5, "run.steps": 30,
+    "run.epsilon": 0.01, "run.tolerance": 1e-6, "run.jobs": 3, "run.measures": True,
+    "output.path": "p.csv", "output.format": "svg", "output.dir": "d",
+}
+
+
+@pytest.mark.parametrize("setting, command", [
+    (s, c) for s in cli._SETTINGS if s.flag and s.key for c in sorted(s.readers)],
+    ids=lambda v: v if isinstance(v, str) else v.flag)
+def test_flag_and_config_key_give_the_same_config(setting, command, tmp_path):
+    value = SETTING_VALUES[f"{setting.block}.{setting.key}"]
+    assert value != setting.default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({setting.block: {setting.key: value}}))
+    argv = [command, *(["fig1"] if command == "figure" else []), setting.flag,
+            *([] if value is True else [str(value)])]
+    from_flag = cli.load_run_config(
+        None, None, cli._flag_overrides(cli.build_parser().parse_args(argv)))
+    assert from_flag == cli.load_run_config(None, path, None)
+    assert cli._block(from_flag, setting.block)[setting.key] == value
+
+
+@pytest.mark.parametrize("setting", [s for s in cli._SETTINGS if s.key],
+                         ids=lambda s: f"{s.block}.{s.key}")
+def test_figure_accepts_exactly_the_keys_it_reads(setting, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(figures, "generate_figure", lambda *args, **kwargs: [])
+    key = f"{setting.block}.{setting.key}"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({setting.block: {setting.key: SETTING_VALUES[key]}}))
+    code = main(["figure", "fig1", "--config", str(path)])
+    if "figure" in setting.readers:
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"figure does not read config key(s) ['{key}']" in capsys.readouterr().err
+
+
+def test_cli_run_defaults_match_the_library_defaults():
+    run = cli._block({}, "run")
+    spec = {f.name: f.default for f in dataclasses.fields(sweep.GridSpec)}
+    classify = inspect.signature(divisibility.classify).parameters
+    blp = inspect.signature(measures.blp_measure).parameters
+    rhp = inspect.signature(measures.rhp_measure).parameters
+    assert run["steps"] == spec["n_steps"] == classify["n_steps"].default
+    assert run["steps"] == blp["n_steps"].default == rhp["n_steps"].default
+    assert run["pairs"] == spec["n_pairs"] == blp["n_pairs"].default
+    assert run["epsilon"] == spec["epsilon"] == classify["epsilon"].default
+    assert run["epsilon"] == rhp["epsilon"].default
+    assert run["tolerance"] == spec["tol"] == classify["tol"].default
+    assert run["detection"] == spec["detection"]

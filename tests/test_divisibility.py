@@ -40,6 +40,15 @@ def _assert_scan_matches_map(scan, lam, atol):
                     rtol=0, atol=atol)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_verdict_rejects_tolerance_not_positive_and_finite(tol):
+    # a NaN tolerance let no witness vote and turned this PD0 process PD2
+    model = models.AmplitudeDampingModel(2.0, 1.0)
+    assert divisibility.classify(model, 30.0).pd_class == DivisibilityClass.PD0
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        divisibility.classify(model, 30.0, tol=tol)
+
+
 def test_complement_of_identity_is_identity():
     for scan in _scans(np.eye(4), np.eye(4), epsilon=0.1):
         _assert_scan_matches_map(scan, np.eye(4), 1e-12)

@@ -48,6 +48,25 @@ def test_rate_vocabulary_round_trip():
         models.RateFn.of("cosh")
 
 
+@pytest.mark.parametrize("c", [0.1234567, 1 / 3, -2.5e-7, 123456789.0, 5e-324])
+def test_constant_rate_tag_round_trips_exactly(c):
+    rate = models.RateFn.constant(c)
+    assert float(models.RateFn.of(rate.tag)(1.0)) == c
+    model = models.PauliChannelModel(c, 1.0, 1.0)
+    rebuilt = models.model_from_params(*models.model_params(model))
+    assert rebuilt == model
+    assert np.array_equal(models.propagator_grid(rebuilt, 2.0, 20).ptm,
+                          models.propagator_grid(model, 2.0, 20).ptm)
+
+
+def test_constant_rates_that_differ_in_the_seventh_digit_differ():
+    assert (models.PauliChannelModel(0.1234567, 1, 1)
+            != models.PauliChannelModel(0.1234568, 1, 1))
+    # a value that :g reproduces keeps its short tag
+    assert [models.RateFn.constant(c).tag for c in (2, 0.5, -0.5, 1e-5)] == [
+        "const:2", "const:0.5", "const:-0.5", "const:1e-05"]
+
+
 def test_quadrature_failure_on_wild_rate():
     rate = models.RateFn.of(lambda t: np.sin(1e7 * t))
     with pytest.raises(QuadratureFailure):

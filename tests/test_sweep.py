@@ -82,6 +82,15 @@ def test_grid_spec_rejects_non_finite_values():
             _tiny_ad_spec(x=ParamRange("gamma0", lo, hi, 5))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
+    ("detection", float("nan")), ("detection", -1.0), ("detection", None),
+])
+def test_grid_spec_rejects_tolerance_and_detection_not_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        _tiny_ad_spec(**{name: value})
+
+
 def test_cell_model_binds_axes():
     spec = _tiny_ad_spec()
     model = spec.cell_model(0.7, 1.1)
