@@ -32,9 +32,10 @@ class RunConfigError(Exception):
 
 class _Setting(NamedTuple):
     """One run or output setting: its flag (None if only a config file sets
-    it), config block and key (None for ``--config``, which names the file),
-    argparse settings, JSON schema, default, and the subcommands that read
-    it. A subcommand takes no other flag; ``figure`` accepts no other key."""
+    it), config block and key (None for a flag that sets no key: ``--config``,
+    which names the file, and the series ``--out`` of blp and rhp), argparse
+    settings, JSON schema, default, and the subcommands that read it. A
+    subcommand takes no other flag; ``figure`` accepts no other key."""
 
     flag: str | None
     block: str | None
@@ -55,8 +56,12 @@ _SETTINGS = (
              {"blp", "rhp", "sweep"}),
     _Setting("--config", None, None, dict(metavar="PATH", help="JSON run config"),
              None, None, {"classify", "blp", "rhp", "sweep", "figure"}),
+    # a series goes to --out alone: a config shared with sweep names the
+    # sweep's files in output.path
+    _Setting("--out", None, None, dict(metavar="PATH", help="series CSV path"),
+             None, None, {"blp", "rhp"}),
     _Setting("--out", "output", "path", dict(metavar="PATH", help="output path"),
-             {"type": "string"}, "sweep", {"blp", "rhp", "sweep"}),
+             {"type": "string"}, "sweep", {"sweep"}),
     _Setting("--format", "output", "format", dict(choices=figures.FORMATS),
              {"enum": list(figures.FORMATS)}, "both", {"sweep", "figure"}),
     # no default: a run without a horizon is a config error
@@ -222,7 +227,8 @@ def _flag_overrides(args) -> dict:
     if model:
         out["model"] = model
     for setting in _SETTINGS:
-        val = getattr(args, setting.flag[2:], None) if setting.flag and setting.key else None
+        val = (getattr(args, setting.flag[2:], None)
+               if setting.flag and setting.key and args.command in setting.readers else None)
         if val is not None:
             out.setdefault(setting.block, {})[setting.key] = val
     return out

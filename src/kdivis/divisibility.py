@@ -75,11 +75,12 @@ class ComplementScan:
 
     ``times`` holds the left endpoint of each complement step. Entries of
     the witness arrays are NaN where ``singular`` is set. ``noise_floor``
-    is the per-step numerical trust limit: on the generic path, which
-    inverts the grid's transfer matrices, it scales with their condition
-    number; on the closed form for diagonal-affine grids (Pauli and
-    amplitude-damping families) it is zero. Witnesses smaller in magnitude
-    than the floor do not count as violations.
+    is the per-step numerical trust limit: on a numerically propagated grid
+    (the composite families) it scales with the condition number of the
+    transfer matrices, on the generic inversion path and the closed form
+    alike; on an analytic grid (Pauli and amplitude-damping families) it is
+    zero. Witnesses smaller in magnitude than the floor do not count as
+    violations.
     """
 
     times: np.ndarray
@@ -223,7 +224,25 @@ def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float):
     return evals[:, 0].copy(), p_witness, np.abs(evals).sum(axis=1), singular, noise
 
 
-def _scan_diagonal(grid: models.PropagatorGrid):
+def _diagonal_cond(ptm: np.ndarray) -> np.ndarray:
+    """Condition numbers of stacked diagonal-affine transfer matrices.
+
+    ``F`` splits into ``|d_x|``, ``|d_y|`` and the block ``[[1, 0], [c_z, d_z]]``.
+    With ``s = 1 + c_z^2 + d_z^2`` the block has
+    ``sigma_max^2 = (s + sqrt(s^2 - 4 d_z^2))/2`` and
+    ``sigma_min = |d_z|/sigma_max``; ``s^2 - 4 d_z^2`` is the product of
+    ``(1 -+ |d_z|)^2 + c_z^2``, so neither involves a cancellation.
+    """
+    d_z, c_z = np.abs(ptm[:, 3, 3]), ptm[:, 3, 0]
+    root = np.hypot(1.0 - d_z, c_z) * np.hypot(1.0 + d_z, c_z)
+    s_max = np.sqrt(0.5 * (1.0 + c_z * c_z + d_z * d_z + root))
+    d_xy = np.abs(ptm[:, (1, 2), (1, 2)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.maximum(s_max, d_xy.max(axis=1))
+                / np.minimum(d_z / s_max, d_xy.min(axis=1)))
+
+
+def _scan_diagonal(grid: models.PropagatorGrid, cond_threshold: float):
     """Closed-form witnesses of a diagonal-affine grid.
 
     The complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
@@ -236,6 +255,11 @@ def _scan_diagonal(grid: models.PropagatorGrid):
     unit sphere peaks at ``f(u_z) = m (1 - u_z^2) + (mu_3 u_z + c)^2``: at a
     pole, ``(|mu_3| + |c|)^2``, or at the vertex ``m + c^2 m / (m - mu_3^2)``
     when ``|mu_3 c| <= m - mu_3^2`` puts it inside ``[-1, 1]``.
+
+    An analytic grid is exact: only a vanishing ``d`` makes a step singular,
+    and the noise floor is zero. A propagated grid carries the rounding of
+    its propagation, so it takes the generic path's criterion, ``cond(F_t)``
+    against ``cond_threshold``, and its noise floor.
     """
     axes = np.arange(1, 4)
     d_t = grid.ptm[:-1, axes, axes]
@@ -243,6 +267,11 @@ def _scan_diagonal(grid: models.PropagatorGrid):
         mu = grid.ptm_shift[:, axes, axes] / d_t
         c = grid.ptm_shift[:, 3, 0] - mu[:, 2] * grid.ptm[:-1, 3, 0]
     singular = (~np.isfinite(mu) | (np.abs(d_t) < 1e-300)).any(axis=1) | ~np.isfinite(c)
+    noise = np.zeros(len(d_t))
+    if grid.propagated:
+        cond = _diagonal_cond(grid.ptm[:-1])
+        singular |= ~np.isfinite(cond) | (cond > cond_threshold)
+        noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
     mu[singular], c[singular] = 1.0, 0.0  # finite placeholders, masked later
     m1, m2, m3 = mu.T
     r_plus, r_minus = np.hypot(c, m1 + m2), np.hypot(c, m1 - m2)
@@ -258,7 +287,7 @@ def _scan_diagonal(grid: models.PropagatorGrid):
     trace_norm = 0.25 * (np.abs(levels[0]) + np.abs(levels[1]) + np.abs(levels[2])
                          + np.abs(levels[3]))
     return (0.25 * np.minimum(levels[0], levels[1]), 0.5 * (1.0 - np.sqrt(reach2)),
-            trace_norm, singular, np.zeros(len(d_t)))
+            trace_norm, singular, noise)
 
 
 def complement_scan(
@@ -267,7 +296,7 @@ def complement_scan(
 ) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
     if grid.diagonal:
-        cp, p, trace_norm, singular, noise = _scan_diagonal(grid)
+        cp, p, trace_norm, singular, noise = _scan_diagonal(grid, cond_threshold)
     else:
         cp, p, trace_norm, singular, noise = _scan_generic(grid, cond_threshold)
     for w in (cp, p, trace_norm):

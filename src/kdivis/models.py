@@ -30,7 +30,9 @@ is a real 16x16 matrix: one ``expm`` of the time step, propagated by
 doubling, and the reduced transfer matrices are the rows with the identity
 on the environment factor, since the partial trace keeps exactly those.
 :func:`reduced_propagator` keeps the complex superoperator route as the RK4
-oracle.
+oracle. Superradiance maps are diagonal-affine as well, so their grids take
+the same closed-form scan as the analytic families, with the conditioning
+criterion of a propagated grid; C-NOT grids take the generic inversion path.
 """
 
 from __future__ import annotations
@@ -599,11 +601,13 @@ class PropagatorGrid:
     ``F[1:, 0]`` are the Bloch-affine form ``r -> M r + c``.
 
     ``diagonal`` marks grids of diagonal-affine maps, ``M = diag(d)`` and
-    ``c = (0, 0, c_z)`` (Pauli and amplitude-damping families), whose
-    complements follow exactly from ratios instead of matrix inversion.
-    Composite grids evolve the joint state's real Pauli coordinates,
-    ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of ``y_i`` that
-    carry the identity on the environment factor.
+    ``c = (0, 0, c_z)`` (Pauli, amplitude-damping and superradiance
+    families), whose complements follow exactly from ratios instead of
+    matrix inversion. Composite grids evolve the joint state's real Pauli
+    coordinates, ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of
+    ``y_i`` that carry the identity on the environment factor; ``propagated``
+    marks them, since their maps carry rounding of order
+    ``macheps * cond(F)`` that an analytic grid does not.
     """
 
     times: np.ndarray
@@ -612,6 +616,7 @@ class PropagatorGrid:
     ptm: np.ndarray
     ptm_shift: np.ndarray
     diagonal: bool = False
+    propagated: bool = False
 
     @property
     def n_steps(self) -> int:
@@ -715,7 +720,12 @@ def propagator_grid(
         ptm = np.ascontiguousarray(y[:, :4, sel].transpose(0, 2, 1))
         shift = ptm[1:] if on_grid else np.ascontiguousarray(
             y[:-1, 4:, sel].transpose(0, 2, 1))
-        return PropagatorGrid(times, dt, eps, ptm, shift)
+        # phase covariance about z and a purely dissipative cross-coupling
+        # keep every superradiance map diagonal-affine, with exact zeros off
+        # the pattern: the generator and its products have those zeros
+        return PropagatorGrid(times, dt, eps, ptm, shift,
+                              diagonal=isinstance(model, SuperradianceModel),
+                              propagated=True)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     ptm = diagonal_ptm(times)

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,23 @@ def test_blp_and_rhp_commands(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "RHP measure" in text and "detected: yes" in text
     assert out2.read_text().startswith("t,value")
+
+
+@pytest.mark.parametrize("command", ["blp", "rhp"])
+def test_series_out_is_flag_only(command, tmp_path, monkeypatch, capsys):
+    # a config shared with sweep names the sweep's files; a series ignores it
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"output": {"path": "series.csv"}}))
+    assert main([command, "hall", "--steps", "50", "--config", "c.json"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert main([command, "hall", "--steps", "50", "--config", "c.json",
+                 "--out", "s.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "s.csv"]
+    assert Path("s.csv").read_text().startswith("t,value\n")
+    # the flag sets no config key either
+    args = cli.build_parser().parse_args([command, "--out", "s.csv"])
+    assert cli._flag_overrides(args) == {}
 
 
 def test_sweep_command(tmp_path, capsys):

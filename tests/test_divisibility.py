@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,13 +379,25 @@ def test_cp_divisible_models_have_clean_scans():
         assert np.nanmin(scan.cp_witness[valid]) >= -1e-8
 
 
-def test_scan_fast_paths_agree_with_generic():
+def _superradiance_draws(rng):
+    """Random superradiance grids, on- and off-grid epsilon; the long
+    strongly damped ones decay past the condition threshold."""
+    for i in range(40):
+        deep = i % 4 == 0
+        gamma0 = rng.uniform(2.0, 5.0) if deep else rng.uniform(0.01, 5.0)
+        model = models.SuperradianceModel(gamma0, rng.uniform(0.01, 20.0), rng.uniform())
+        horizon = rng.uniform(20.0, 40.0) if deep else rng.uniform(0.5, 15.0)
+        n_steps = int(rng.integers(2, 400))
+        eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
+        yield models.propagator_grid(model, horizon, n_steps, eps)
+
+
+def test_scan_fast_paths_agree_with_generic(rng):
     # clear the diagonal flag to force the matrix-inversion route
     for model, horizon in ((models.PauliChannelModel.hall(), 4.0),
                            (models.AmplitudeDampingModel(2.0, 1.0), 4.0)):
         grid = models.propagator_grid(model, horizon, 100)
         fast = divisibility.complement_scan(grid)
-        import dataclasses
         stripped = dataclasses.replace(grid, diagonal=False)
         generic = divisibility.complement_scan(stripped)
         ok = ~generic.singular & (generic.noise_floor < 1e-9)
@@ -392,6 +406,22 @@ def test_scan_fast_paths_agree_with_generic():
         assert_allclose(fast.choi_trace_norm[ok], generic.choi_trace_norm[ok],
                         atol=1e-8)
         assert_allclose(fast.p_witness[ok], generic.p_witness[ok], atol=1e-8)
+    # a propagated superradiance grid takes the generic conditioning
+    # criterion on the closed form: the same singular steps, noise floors
+    # and witnesses
+    n_singular = 0
+    for grid in _superradiance_draws(rng):
+        assert grid.diagonal and grid.propagated
+        fast = divisibility.complement_scan(grid)
+        generic = divisibility.complement_scan(dataclasses.replace(grid, diagonal=False))
+        assert np.array_equal(fast.singular, generic.singular)
+        n_singular += int(generic.singular.sum())
+        ok = ~generic.singular
+        assert_allclose(fast.noise_floor[ok], generic.noise_floor[ok], rtol=1e-12, atol=0)
+        for name in ("cp_witness", "p_witness", "choi_trace_norm"):
+            assert_allclose(getattr(fast, name)[ok], getattr(generic, name)[ok],
+                            rtol=0, atol=1e-12, err_msg=name)
+    assert n_singular > 100
 
 
 def _diagonal_complements(rng, kind, n):
@@ -436,7 +466,6 @@ def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
 def test_singular_steps_reported_and_excluded():
     # force the generic path on a long amplitude-damping horizon: deep decay
     # exceeds the condition threshold and those steps are skipped
-    import dataclasses
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
     stripped = dataclasses.replace(grid, diagonal=False)
@@ -451,7 +480,6 @@ def test_singular_steps_reported_and_excluded():
 def test_all_steps_singular_raises():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 10.0, 50)
-    import dataclasses
     stripped = dataclasses.replace(grid, diagonal=False)
     with pytest.raises(AllStepsSingular):
         scan = divisibility.complement_scan(stripped, cond_threshold=0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -280,7 +281,6 @@ def test_rhp_agrees_with_classifier_away_from_boundaries():
 
 
 def test_rhp_skips_singular_steps():
-    import dataclasses
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
     stripped = dataclasses.replace(grid, diagonal=False)

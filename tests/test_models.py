@@ -570,6 +570,38 @@ def test_grid_maps_are_tp_and_hp_for_all_families(rng):
             assert np.abs((p2.conj().T @ gen @ p2).imag).max() <= 1e-14 * np.abs(gen).max()
 
 
+def test_superradiance_grids_are_diagonal_affine(rng):
+    """Superradiance transfer matrices are ``diag(1, d_x, d_y, d_z)`` plus
+    ``c_z`` in the z row, with exact zeros elsewhere, and ``d_x = d_y``.
+
+    The joint dynamics is covariant under phase rotations about z, so the
+    reduced maps are too; the cross-coupling is purely dissipative, with no
+    exchange Hamiltonian to rotate the transverse plane. In the real Pauli
+    basis these zeros are exact zeros of the generator, and neither ``expm``
+    nor the propagation products can fill them in."""
+    off = np.ones((4, 4), dtype=bool)
+    off[[0, 1, 2, 3, 3], [0, 1, 2, 3, 0]] = False
+    for i in range(40):
+        model = models.SuperradianceModel(rng.uniform(0.01, 5.0), rng.uniform(0.01, 20.0),
+                                          rng.uniform())
+        horizon, n_steps = rng.uniform(0.5, 40.0), int(rng.integers(2, 400))
+        eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
+        grid = models.propagator_grid(model, horizon, n_steps, eps)
+        for ptm in (grid.ptm, grid.ptm_shift):
+            assert not ptm[:, off].any()
+            assert_allclose(ptm[:, 1, 1], ptm[:, 2, 2], rtol=0, atol=1e-14)
+
+
+def test_only_composite_grids_are_propagated():
+    for model, diagonal, propagated in (
+            (models.PauliChannelModel.hall(), True, False),
+            (models.AmplitudeDampingModel(2.0, 1.0), True, False),
+            (models.CnotControlModel(1.0, 0.1, 0.5), False, True),
+            (models.SuperradianceModel(1.0, 2.0, 0.5), True, True)):
+        grid = models.propagator_grid(model, 2.0, 20)
+        assert (grid.diagonal, grid.propagated) == (diagonal, propagated)
+
+
 def test_superradiance_ground_env_population_decays():
     model = models.SuperradianceModel(gamma0=1.0, x=2.2, a=0.0)
     grid = models.propagator_grid(model, 8.0, 160)
