@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -163,10 +164,19 @@ def _merge(base: dict, update: dict) -> dict:
     return out
 
 
+@functools.cache
+def _config_validator():
+    # built on first use, once per process: checking the constant schema
+    # against its metaschema costs about 20 ms
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise RunConfigError(f"config field {where}: {exc.message}") from exc
     if "model" in cfg:

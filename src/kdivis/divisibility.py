@@ -74,13 +74,14 @@ class ComplementScan:
     """Per-step witnesses of a process over the horizon.
 
     ``times`` holds the left endpoint of each complement step. Entries of
-    the witness arrays are NaN where ``singular`` is set. ``noise_floor``
-    is the per-step numerical trust limit: on a numerically propagated grid
-    (the composite families) it scales with the condition number of the
-    transfer matrices, on the generic inversion path and the closed form
-    alike; on an analytic grid (Pauli and amplitude-damping families) it is
-    zero. Witnesses smaller in magnitude than the floor do not count as
-    violations.
+    the witness arrays are NaN where ``singular`` is set. Every model
+    family's grid is scanned in closed form about its covariance axis; the
+    generic inversion path, taken by a grid without an axis, is its oracle.
+    ``noise_floor`` is the per-step numerical trust limit: on a numerically
+    propagated grid (the composite families) it scales with the condition
+    number of the transfer matrices, on both paths alike; on an analytic
+    grid (Pauli and amplitude-damping families) it is zero. Witnesses
+    smaller in magnitude than the floor do not count as violations.
     """
 
     times: np.ndarray
@@ -224,33 +225,44 @@ def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float):
     return evals[:, 0].copy(), p_witness, np.abs(evals).sum(axis=1), singular, noise
 
 
-def _diagonal_cond(ptm: np.ndarray) -> np.ndarray:
-    """Condition numbers of stacked diagonal-affine transfer matrices.
+#: per covariance axis, the cyclic (so proper) relabelling ``(i, j, a)`` that
+#: takes the axis ``a`` to z and the perpendicular plane to ``(x, y)``
+_CYCLIC = {1: (2, 3, 1), 2: (3, 1, 2), 3: (1, 2, 3)}
 
-    ``F`` splits into ``|d_x|``, ``|d_y|`` and the block ``[[1, 0], [c_z, d_z]]``.
-    With ``s = 1 + c_z^2 + d_z^2`` the block has
-    ``sigma_max^2 = (s + sqrt(s^2 - 4 d_z^2))/2`` and
-    ``sigma_min = |d_z|/sigma_max``; ``s^2 - 4 d_z^2`` is the product of
-    ``(1 -+ |d_z|)^2 + c_z^2``, so neither involves a cancellation.
+
+def _covariant_cond(f: np.ndarray, a: int, perp: np.ndarray) -> np.ndarray:
+    """Condition numbers of stacked transfer matrices covariant about ``a``.
+
+    ``F`` splits into the block ``[[1, 0], [c_a, d_a]]`` and the
+    perpendicular block, whose singular values ``perp`` are ``|d_x|, |d_y|``
+    for a diagonal block and ``|z|`` twice for a scaled rotation
+    ``z = A + iB``. With ``s = 1 + c_a^2 + d_a^2`` the first block has
+    ``sigma_max^2 = (s + sqrt(s^2 - 4 d_a^2))/2`` and
+    ``sigma_min = |d_a|/sigma_max``; ``s^2 - 4 d_a^2`` is the product of
+    ``(1 -+ |d_a|)^2 + c_a^2``, so neither involves a cancellation.
     """
-    d_z, c_z = np.abs(ptm[:, 3, 3]), ptm[:, 3, 0]
-    root = np.hypot(1.0 - d_z, c_z) * np.hypot(1.0 + d_z, c_z)
-    s_max = np.sqrt(0.5 * (1.0 + c_z * c_z + d_z * d_z + root))
-    d_xy = np.abs(ptm[:, (1, 2), (1, 2)])
+    d_a, c_a = np.abs(f[:, a, a]), f[:, a, 0]
+    root = np.hypot(1.0 - d_a, c_a) * np.hypot(1.0 + d_a, c_a)
+    s_max = np.sqrt(0.5 * (1.0 + c_a * c_a + d_a * d_a + root))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.maximum(s_max, d_xy.max(axis=1))
-                / np.minimum(d_z / s_max, d_xy.min(axis=1)))
+        return np.maximum(s_max, perp.max(axis=1)) / np.minimum(d_a / s_max, perp.min(axis=1))
 
 
-def _scan_diagonal(grid: models.PropagatorGrid, cond_threshold: float):
-    """Closed-form witnesses of a diagonal-affine grid.
+def _scan_covariant(grid: models.PropagatorGrid, cond_threshold: float):
+    """Closed-form witnesses of a grid covariant about ``grid.axis``.
 
-    The complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
+    A cyclic relabelling takes the axis to z; it is a proper rotation, a
+    unitary conjugation, which leaves the Choi spectrum, the output spectrum
+    and the trace norm unchanged (Ruskai, Szarek & Werner 2002). The
+    complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
     ``mu = d(t+eps)/d(t)`` and ``c = c_z(t+eps) - mu_3 c_z(t)``, which avoids
-    the ill-conditioned inversion near zeros of the propagator. Its Choi
-    matrix has two 2x2 blocks with eigenvalues
-    ``((1 + mu_3) +- sqrt(c^2 + (mu_1 + mu_2)^2))/4`` and
-    ``((1 - mu_3) +- sqrt(c^2 + (mu_1 - mu_2)^2))/4``. With
+    the ill-conditioned inversion near zeros of the propagator. A
+    perpendicular block that is a scaled rotation ``[[A, -B], [B, A]]``
+    composes as ``z = A + iB``; its complement is the rotation by the
+    complex ratio ``w = z(t+eps)/z(t)``, which a rotation about z takes to
+    ``mu_1 = mu_2 = |w|``. The Choi matrix of the complement has two 2x2
+    blocks with eigenvalues ``((1 + mu_3) +- sqrt(c^2 + (mu_1 + mu_2)^2))/4``
+    and ``((1 - mu_3) +- sqrt(c^2 + (mu_1 - mu_2)^2))/4``. With
     ``m = max(mu_1^2, mu_2^2)``, the squared output Bloch length over the
     unit sphere peaks at ``f(u_z) = m (1 - u_z^2) + (mu_3 u_z + c)^2``: at a
     pole, ``(|mu_3| + |c|)^2``, or at the vertex ``m + c^2 m / (m - mu_3^2)``
@@ -261,15 +273,28 @@ def _scan_diagonal(grid: models.PropagatorGrid, cond_threshold: float):
     its propagation, so it takes the generic path's criterion, ``cond(F_t)``
     against ``cond_threshold``, and its noise floor.
     """
-    axes = np.arange(1, 4)
-    d_t = grid.ptm[:-1, axes, axes]
+    i, j, a = _CYCLIC[grid.axis]
+    axes = np.array((i, j, a))
+    f, f_eps = grid.ptm[:-1], grid.ptm_shift
+    d_t = f[:, axes, axes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = grid.ptm_shift[:, axes, axes] / d_t
-        c = grid.ptm_shift[:, 3, 0] - mu[:, 2] * grid.ptm[:-1, 3, 0]
+        mu = f_eps[:, axes, axes] / d_t
+        if np.count_nonzero(f[:, j, i]) or np.count_nonzero(f_eps[:, j, i]):
+            # a nonzero B marks a rotating block; |z| comes from its
+            # conformal part, the means of the diagonal and off-diagonal pairs
+            z, z_eps = (np.hypot(0.5 * (g[:, i, i] + g[:, j, j]),
+                                 0.5 * (g[:, j, i] - g[:, i, j])) for g in (f, f_eps))
+            mu[:, :2] = (z_eps / z)[:, None]
+            # d_t keeps the block's singular values, as a diagonal block's
+            # entries are: |z| plus the rounding-sized anticonformal part,
+            # and |det|/sigma_max, which involves no cancellation
+            d_t[:, 0] = z + 0.5 * np.hypot(f[:, i, i] - f[:, j, j], f[:, j, i] + f[:, i, j])
+            d_t[:, 1] = np.abs(f[:, i, i] * f[:, j, j] - f[:, i, j] * f[:, j, i]) / d_t[:, 0]
+        c = f_eps[:, a, 0] - mu[:, 2] * f[:, a, 0]
     singular = (~np.isfinite(mu) | (np.abs(d_t) < 1e-300)).any(axis=1) | ~np.isfinite(c)
     noise = np.zeros(len(d_t))
     if grid.propagated:
-        cond = _diagonal_cond(grid.ptm[:-1])
+        cond = _covariant_cond(f, a, np.abs(d_t[:, :2]))
         singular |= ~np.isfinite(cond) | (cond > cond_threshold)
         noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
     mu[singular], c[singular] = 1.0, 0.0  # finite placeholders, masked later
@@ -295,8 +320,8 @@ def complement_scan(
     cond_threshold: float = config.DEFAULT.cond_threshold,
 ) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
-    if grid.diagonal:
-        cp, p, trace_norm, singular, noise = _scan_diagonal(grid, cond_threshold)
+    if grid.axis is not None:
+        cp, p, trace_norm, singular, noise = _scan_covariant(grid, cond_threshold)
     else:
         cp, p, trace_norm, singular, noise = _scan_generic(grid, cond_threshold)
     for w in (cp, p, trace_norm):

@@ -30,9 +30,11 @@ is a real 16x16 matrix: one ``expm`` of the time step, propagated by
 doubling, and the reduced transfer matrices are the rows with the identity
 on the environment factor, since the partial trace keeps exactly those.
 :func:`reduced_propagator` keeps the complex superoperator route as the RK4
-oracle. Superradiance maps are diagonal-affine as well, so their grids take
-the same closed-form scan as the analytic families, with the conditioning
-criterion of a propagated grid; C-NOT grids take the generic inversion path.
+oracle. Each model class declares the axis its maps are covariant about:
+z for the diagonal-affine Pauli, amplitude-damping and superradiance maps,
+x for the C-NOT maps, whose yz block is a scaled rotation. Every grid takes
+the one closed-form complement scan about its axis; the composite grids add
+the conditioning criterion of a propagated grid.
 """
 
 from __future__ import annotations
@@ -195,6 +197,9 @@ class PauliChannelModel:
     """``drho/dt = 1/2 sum_j g_j(t) (sigma_j rho sigma_j - rho)``."""
 
     family = "pauli"
+    #: Pauli index (1, 2, 3 for x, y, z) of the grids' covariance axis, read
+    #: by :func:`propagator_grid`; diagonal maps take z
+    axis = 3
 
     g1: RateFn
     g2: RateFn
@@ -272,6 +277,7 @@ class AmplitudeDampingModel:
     """
 
     family = "ad"
+    axis = 3
 
     gamma0: float
     lam: float
@@ -415,6 +421,9 @@ class CnotControlModel:
     """
 
     family = "cnot"
+    #: a control-diagonal mixture of rotations about x, then isotropic
+    #: depolarizing: covariant about x
+    axis = 1
 
     J: float
     gamma: float
@@ -449,6 +458,8 @@ class SuperradianceModel:
     """
 
     family = "superradiance"
+    #: phase covariant about z
+    axis = 3
 
     gamma0: float
     x: float
@@ -600,14 +611,18 @@ class PropagatorGrid:
     transfer matrices ``F_mn = Tr(sigma_m E(sigma_n))/2``: ``F[1:, 1:]`` and
     ``F[1:, 0]`` are the Bloch-affine form ``r -> M r + c``.
 
-    ``diagonal`` marks grids of diagonal-affine maps, ``M = diag(d)`` and
-    ``c = (0, 0, c_z)`` (Pauli, amplitude-damping and superradiance
-    families), whose complements follow exactly from ratios instead of
-    matrix inversion. Composite grids evolve the joint state's real Pauli
-    coordinates, ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of
-    ``y_i`` that carry the identity on the environment factor; ``propagated``
-    marks them, since their maps carry rounding of order
-    ``macheps * cond(F)`` that an analytic grid does not.
+    ``axis`` is the Pauli index (1, 2, 3 for x, y, z) of the axis every map
+    of the grid is covariant about, or None for no known structure. About
+    axis ``a`` the Bloch form splits into ``r_a -> d_a r_a + c_a`` and a 2x2
+    block on the perpendicular plane, with exact zeros elsewhere. The block
+    is diagonal (Pauli, amplitude-damping and superradiance families, all
+    about z) or a scaled rotation ``[[A, -B], [B, A]]`` (C-NOT, about x), so
+    the complements follow exactly from ratios instead of matrix inversion.
+    Composite grids evolve the joint state's real Pauli coordinates,
+    ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of ``y_i`` that
+    carry the identity on the environment factor; ``propagated`` marks
+    them, since their maps carry rounding of order ``macheps * cond(F)``
+    that an analytic grid does not.
     """
 
     times: np.ndarray
@@ -615,7 +630,7 @@ class PropagatorGrid:
     eps: float
     ptm: np.ndarray
     ptm_shift: np.ndarray
-    diagonal: bool = False
+    axis: int | None = None
     propagated: bool = False
 
     @property
@@ -720,17 +735,14 @@ def propagator_grid(
         ptm = np.ascontiguousarray(y[:, :4, sel].transpose(0, 2, 1))
         shift = ptm[1:] if on_grid else np.ascontiguousarray(
             y[:-1, 4:, sel].transpose(0, 2, 1))
-        # phase covariance about z and a purely dissipative cross-coupling
-        # keep every superradiance map diagonal-affine, with exact zeros off
-        # the pattern: the generator and its products have those zeros
-        return PropagatorGrid(times, dt, eps, ptm, shift,
-                              diagonal=isinstance(model, SuperradianceModel),
-                              propagated=True)
+        # the covariance leaves exact zeros off the pattern of the axis: the
+        # generator and its products have those zeros
+        return PropagatorGrid(times, dt, eps, ptm, shift, model.axis, propagated=True)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     ptm = diagonal_ptm(times)
     shift = ptm[1:] if on_grid else diagonal_ptm(times[:-1] + eps)
-    return PropagatorGrid(times, dt, eps, ptm, shift, diagonal=True)
+    return PropagatorGrid(times, dt, eps, ptm, shift, model.axis)
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,13 @@ class PhaseDiagramGrid:
 
 
 def default_jobs() -> int:
-    """Worker count from ``KDIVIS_JOBS``, else the CPU count; ``ValueError``
-    when the variable is set to anything but an integer >= 1."""
+    """Worker count from ``KDIVIS_JOBS``, else the CPUs this process may run
+    on; ``ValueError`` when the variable is set to anything but an integer
+    >= 1."""
     env = os.environ.get("KDIVIS_JOBS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):  # a taskset or cpuset pin counts
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"KDIVIS_JOBS must be an integer >= 1, got {env!r}")

@@ -26,18 +26,18 @@ def random_cptp_map(rng):
     return qmat.superop_from_kraus(kraus)
 
 
-def one_step_grid(e_t, e_te, epsilon=1.0, diagonal=False):
+def one_step_grid(e_t, e_te, epsilon=1.0, axis=None):
     """Propagator grid holding one complement step, from the superoperator
     ``e_t`` to ``e_te`` a step ``epsilon`` later.
 
-    ``diagonal=True`` sends :func:`~kdivis.divisibility.complement_scan`
-    down the closed form, which reads only the diagonal and the z offset of
-    the transfer matrices, so both maps must be diagonal-affine; otherwise
-    the scan takes the generic inversion path.
+    ``axis=3`` sends :func:`~kdivis.divisibility.complement_scan` down the
+    closed form about z, which reads only the diagonal and the z offset of
+    the transfer matrices, so both maps must be diagonal-affine;
+    ``axis=None`` sends it down the generic inversion path.
     """
     ptm = qmat.pauli_transfer_matrix(np.array([e_t, e_te]))
     return models.PropagatorGrid(times=np.array([0.0, epsilon]), dt=epsilon, eps=epsilon,
-                                 ptm=ptm, ptm_shift=ptm[1:], diagonal=diagonal)
+                                 ptm=ptm, ptm_shift=ptm[1:], axis=axis)
 
 
 def random_density_matrix(rng):

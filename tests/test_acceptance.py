@@ -237,7 +237,7 @@ def test_criterion_8c_pauli_positivity_fast_path():
             # the closed form of the production scan, on the complement of
             # the identity by the map; both witnesses are (1 - max|mu|)/2
             scan = divisibility.complement_scan(
-                one_step_grid(np.eye(4), superop, diagonal=True))
+                one_step_grid(np.eye(4), superop, axis=3))
             fast = scan.p_witness[0] >= -0.5e-9
             general, witness = divisibility.is_positive(superop, tol=0.5e-9)
             assert fast == general, (mu, scan.p_witness[0], witness)

@@ -5,6 +5,7 @@ import os
 import stat
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from kdivis import cli, divisibility, figures, measures, models, sweep
@@ -65,6 +66,21 @@ def test_config_parse_error_exit_code(tmp_path, capsys):
     assert main(["classify", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_config_schema_is_checked_once_per_process(monkeypatch):
+    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    calls = []
+    check = validator.check_schema
+    monkeypatch.setattr(validator, "check_schema",
+                        lambda schema: calls.append(schema) or check(schema))
+    cli._config_validator.cache_clear()
+    try:
+        cli.load_run_config("ad")
+        cli.load_run_config("hall")
+    finally:
+        cli._config_validator.cache_clear()
+    assert calls == [cli.CONFIG_SCHEMA]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -28,8 +28,8 @@ def _transpose_superop():
 
 def _scans(e_t, e_te, epsilon=1.0):
     """Scans of the one-step grid on the closed form and on the generic path."""
-    return [divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, diagonal))
-            for diagonal in (True, False)]
+    return [divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, axis))
+            for axis in (3, None)]
 
 
 def _assert_scan_matches_map(scan, lam, atol):
@@ -236,7 +236,7 @@ def test_is_positive_rejects_non_trace_preserving_map():
 def _closed_form_p_witness(mu):
     """P witness of the Pauli-diagonal map with Bloch eigenvalues ``mu``,
     from the scan's closed form: the complement of the identity by it."""
-    grid = one_step_grid(np.eye(4), qmat.pauli_diagonal_superop(mu), diagonal=True)
+    grid = one_step_grid(np.eye(4), qmat.pauli_diagonal_superop(mu), axis=3)
     return divisibility.complement_scan(grid).p_witness[0]
 
 
@@ -392,13 +392,26 @@ def _superradiance_draws(rng):
         yield models.propagator_grid(model, horizon, n_steps, eps)
 
 
+def _cnot_draws(rng):
+    """Random C-NOT grids, on- and off-grid epsilon; the long strongly
+    damped ones decay past the condition threshold."""
+    for i in range(40):
+        deep = i % 4 == 0
+        gamma = rng.uniform(0.5, 2.0) if deep else rng.uniform(0.005, 2.0)
+        model = models.CnotControlModel(rng.uniform(0.1, 5.0), gamma, rng.uniform())
+        horizon = rng.uniform(20.0, 60.0) if deep else rng.uniform(2.0, 60.0)
+        n_steps = int(rng.integers(2, 500))
+        eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
+        yield models.propagator_grid(model, horizon, n_steps, eps)
+
+
 def test_scan_fast_paths_agree_with_generic(rng):
-    # clear the diagonal flag to force the matrix-inversion route
+    # clear the axis to force the matrix-inversion route
     for model, horizon in ((models.PauliChannelModel.hall(), 4.0),
                            (models.AmplitudeDampingModel(2.0, 1.0), 4.0)):
         grid = models.propagator_grid(model, horizon, 100)
         fast = divisibility.complement_scan(grid)
-        stripped = dataclasses.replace(grid, diagonal=False)
+        stripped = dataclasses.replace(grid, axis=None)
         generic = divisibility.complement_scan(stripped)
         ok = ~generic.singular & (generic.noise_floor < 1e-9)
         assert ok.sum() > 50
@@ -406,22 +419,25 @@ def test_scan_fast_paths_agree_with_generic(rng):
         assert_allclose(fast.choi_trace_norm[ok], generic.choi_trace_norm[ok],
                         atol=1e-8)
         assert_allclose(fast.p_witness[ok], generic.p_witness[ok], atol=1e-8)
-    # a propagated superradiance grid takes the generic conditioning
-    # criterion on the closed form: the same singular steps, noise floors
-    # and witnesses
-    n_singular = 0
-    for grid in _superradiance_draws(rng):
-        assert grid.diagonal and grid.propagated
-        fast = divisibility.complement_scan(grid)
-        generic = divisibility.complement_scan(dataclasses.replace(grid, diagonal=False))
-        assert np.array_equal(fast.singular, generic.singular)
-        n_singular += int(generic.singular.sum())
-        ok = ~generic.singular
-        assert_allclose(fast.noise_floor[ok], generic.noise_floor[ok], rtol=1e-12, atol=0)
-        for name in ("cp_witness", "p_witness", "choi_trace_norm"):
-            assert_allclose(getattr(fast, name)[ok], getattr(generic, name)[ok],
-                            rtol=0, atol=1e-12, err_msg=name)
-    assert n_singular > 100
+    # a propagated grid takes the generic conditioning criterion on the
+    # closed form: the same singular steps and noise floors. Superradiance
+    # witnesses agree to rounding; the C-NOT yz blocks carry the rotation
+    # asymmetry of their propagation, so those agree within each step's floor
+    for draws, axis in ((_superradiance_draws, 3), (_cnot_draws, 1)):
+        n_singular = 0
+        for grid in draws(rng):
+            assert grid.axis == axis and grid.propagated
+            fast = divisibility.complement_scan(grid)
+            generic = divisibility.complement_scan(dataclasses.replace(grid, axis=None))
+            assert np.array_equal(fast.singular, generic.singular)
+            n_singular += int(generic.singular.sum())
+            ok = ~generic.singular
+            floor = generic.noise_floor[ok]
+            assert_allclose(fast.noise_floor[ok], floor, rtol=1e-12, atol=0)
+            for name in ("cp_witness", "p_witness", "choi_trace_norm"):
+                err = np.abs(getattr(fast, name)[ok] - getattr(generic, name)[ok])
+                assert (err <= (1e-12 if axis == 3 else floor)).all(), (name, err.max())
+        assert n_singular > 100
 
 
 def _diagonal_complements(rng, kind, n):
@@ -447,7 +463,7 @@ def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
         times=np.arange(n + 1.0), dt=1.0, eps=1.0,
         ptm=models._diagonal_ptm(np.vstack([d_t, np.ones(3)]), np.append(c_t, 0.0)),
         ptm_shift=models._diagonal_ptm(mu * d_t, c + mu[:, 2] * c_t),
-        diagonal=True)
+        axis=3)
     scan = divisibility.complement_scan(grid)
     assert not scan.singular.any()
     a = qmat._PAULI_COLS
@@ -468,7 +484,7 @@ def test_singular_steps_reported_and_excluded():
     # exceeds the condition threshold and those steps are skipped
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, diagonal=False)
+    stripped = dataclasses.replace(grid, axis=None)
     scan = divisibility.complement_scan(stripped)
     assert scan.singular.any() and not scan.singular.all()
     verdict = divisibility.verdict_from_scan(scan)
@@ -480,7 +496,7 @@ def test_singular_steps_reported_and_excluded():
 def test_all_steps_singular_raises():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 10.0, 50)
-    stripped = dataclasses.replace(grid, diagonal=False)
+    stripped = dataclasses.replace(grid, axis=None)
     with pytest.raises(AllStepsSingular):
         scan = divisibility.complement_scan(stripped, cond_threshold=0.5)
         divisibility.verdict_from_scan(scan)

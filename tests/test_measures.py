@@ -152,15 +152,15 @@ def test_blp_from_grid_peak_allocation():
 # RHP
 # ---------------------------------------------------------------------------
 
-def _rhp_g(e_t, e_te, epsilon, diagonal=False):
+def _rhp_g(e_t, e_te, epsilon, axis=None):
     """RHP rate of the one complement step from ``e_t`` to ``e_te``."""
-    scan = divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, diagonal))
+    scan = divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, axis))
     return measures.rhp_from_scan(scan).g_series[0]
 
 
 def test_rhp_g_zero_for_cp_complement():
-    for diagonal in (True, False):
-        assert _rhp_g(np.eye(4), np.eye(4), 0.02, diagonal) == 0.0
+    for axis in (3, None):
+        assert _rhp_g(np.eye(4), np.eye(4), 0.02, axis) == 0.0
 
 
 def test_rhp_g_positive_for_hall_complement():
@@ -173,8 +173,8 @@ def test_rhp_g_positive_for_hall_complement():
     choi = qmat.choi_of(e_te @ np.linalg.inv(e_t))
     lowest = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]
     assert lowest < -1e-4
-    for diagonal in (True, False):
-        g = _rhp_g(e_t, e_te, eps, diagonal)
+    for axis in (3, None):
+        g = _rhp_g(e_t, e_te, eps, axis)
         assert_allclose(g, -2.0 * lowest / eps, rtol=1e-6)
         assert_allclose(g, np.tanh(t), atol=0.02)
 
@@ -283,7 +283,7 @@ def test_rhp_agrees_with_classifier_away_from_boundaries():
 def test_rhp_skips_singular_steps():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, diagonal=False)
+    stripped = dataclasses.replace(grid, axis=None)
     scan = divisibility.complement_scan(stripped)
     assert scan.singular.any()
     result = measures.rhp_from_scan(scan)

@@ -592,14 +592,51 @@ def test_superradiance_grids_are_diagonal_affine(rng):
             assert_allclose(ptm[:, 1, 1], ptm[:, 2, 2], rtol=0, atol=1e-14)
 
 
+def test_cnot_grids_are_x_covariant(rng):
+    """C-NOT transfer matrices are ``1 + d_x + [[A, -B], [B, A]]`` on the
+    yz block, with exact zeros elsewhere and no offset ``c``.
+
+    The control is diagonal, so the target sees a mixture of the identity
+    and a rotation about x, both covariant about x, followed by isotropic
+    depolarizing, which is covariant about every axis. In the real Pauli
+    basis these zeros are exact zeros of the generator, and neither ``expm``
+    nor the propagation products can fill them in."""
+    off = np.ones((4, 4), dtype=bool)
+    off[0, 0] = off[1, 1] = False
+    off[2:, 2:] = False
+    for i in range(40):
+        model = models.CnotControlModel(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0),
+                                        rng.uniform())
+        horizon, n_steps = rng.uniform(0.5, 60.0), int(rng.integers(2, 500))
+        eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
+        grid = models.propagator_grid(model, horizon, n_steps, eps)
+        for ptm in (grid.ptm, grid.ptm_shift):
+            assert not ptm[:, off].any()
+            assert_allclose(ptm[:, 2, 2], ptm[:, 3, 3], rtol=0, atol=1e-13)
+            assert_allclose(ptm[:, 2, 3], -ptm[:, 3, 2], rtol=0, atol=1e-13)
+
+
 def test_only_composite_grids_are_propagated():
-    for model, diagonal, propagated in (
-            (models.PauliChannelModel.hall(), True, False),
-            (models.AmplitudeDampingModel(2.0, 1.0), True, False),
-            (models.CnotControlModel(1.0, 0.1, 0.5), False, True),
-            (models.SuperradianceModel(1.0, 2.0, 0.5), True, True)):
+    for model, propagated in (
+            (models.PauliChannelModel.hall(), False),
+            (models.AmplitudeDampingModel(2.0, 1.0), False),
+            (models.CnotControlModel(1.0, 0.1, 0.5), True),
+            (models.SuperradianceModel(1.0, 2.0, 0.5), True)):
         grid = models.propagator_grid(model, 2.0, 20)
-        assert (grid.diagonal, grid.propagated) == (diagonal, propagated)
+        assert grid.propagated == propagated
+
+
+def test_every_family_puts_its_covariance_axis_on_its_grids():
+    examples = {"pauli": models.PauliChannelModel.hall(),
+                "ad": models.AmplitudeDampingModel(2.0, 1.0),
+                "cnot": models.CnotControlModel(1.0, 0.1, 0.5),
+                "superradiance": models.SuperradianceModel(1.0, 2.0, 0.5)}
+    assert examples.keys() == models.MODEL_FAMILIES.keys()
+    axes = {tag: fam.cls.axis for tag, fam in models.MODEL_FAMILIES.items()}
+    assert axes == {"pauli": 3, "ad": 3, "cnot": 1, "superradiance": 3}
+    for tag, model in examples.items():
+        for eps in (None, 0.05):
+            assert models.propagator_grid(model, 2.0, 20, eps).axis == axes[tag]
 
 
 def test_superradiance_ground_env_population_decays():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +317,13 @@ def test_default_jobs_env(monkeypatch):
             sweep.default_jobs()
     monkeypatch.delenv("KDIVIS_JOBS")
     assert sweep.default_jobs() >= 1
+
+
+def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch):
+    # a process pinned to two of eight CPUs starts two workers, not eight
+    monkeypatch.delenv("KDIVIS_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert sweep.default_jobs() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sweep.default_jobs() == 8
