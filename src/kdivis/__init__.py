@@ -32,13 +32,7 @@ from .models import (
     PauliChannelModel,
     RateFn,
     SuperradianceModel,
-    amplitude_damping_propagator,
-    damping_superop,
-    pauli_generator,
-    pauli_propagator_analytic,
-    propagate_rk4,
     propagator_grid,
-    reduced_propagator,
 )
 from .sweep import (
     CellResult,

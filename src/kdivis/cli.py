@@ -443,9 +443,6 @@ def main(argv=None) -> int:
     except RunConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except figures.CellBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KdivisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

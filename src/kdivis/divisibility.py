@@ -10,9 +10,11 @@ one that passes only the positivity test PD1, anything else PD0.
 
 Steps where the propagator is not invertible under the active condition
 threshold are skipped and reported, never silently pseudo-inverted.
-:func:`complement_scan` reads a grid's real Pauli transfer matrices and is
-the one kernel the classifier and the RHP measure use; :func:`is_cp` and
-:func:`is_positive` test single superoperators and serve as its oracles.
+:func:`complement_scan` reads a grid's real Pauli transfer matrices in closed
+form about the grid's covariance axis; it has one path, and it is the one
+kernel the classifier and the RHP measure use. :func:`is_cp` and
+:func:`is_positive` test single superoperators and serve as its oracles, with
+the generic inversion scan of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -74,14 +76,14 @@ class ComplementScan:
     """Per-step witnesses of a process over the horizon.
 
     ``times`` holds the left endpoint of each complement step. Entries of
-    the witness arrays are NaN where ``singular`` is set. Every model
-    family's grid is scanned in closed form about its covariance axis; the
-    generic inversion path, taken by a grid without an axis, is its oracle.
-    ``noise_floor`` is the per-step numerical trust limit: on a numerically
-    propagated grid (the composite families) it scales with the condition
-    number of the transfer matrices, on both paths alike; on an analytic
-    grid (Pauli and amplitude-damping families) it is zero. Witnesses
-    smaller in magnitude than the floor do not count as violations.
+    the witness arrays are NaN where ``singular`` is set. Every grid is
+    scanned in closed form about its covariance axis; the generic inversion
+    scan of ``tests/oracles.py`` is its oracle. ``noise_floor`` is the
+    per-step numerical trust limit: on a numerically propagated grid (the
+    composite families) it scales with the condition number of the transfer
+    matrices, as on the generic scan; on an analytic grid (Pauli and
+    amplitude-damping families) it is zero. Witnesses smaller in magnitude
+    than the floor do not count as violations.
     """
 
     times: np.ndarray
@@ -200,30 +202,9 @@ def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
 # Batched scan over a propagator grid
 # ---------------------------------------------------------------------------
 
-#: witness error of the inversion path is of order macheps * cond(E_t);
+#: witness error of a propagated grid is of order macheps * cond(E_t);
 #: this multiplier turns that estimate into a trust limit
 _NOISE_FACTOR = 4.0
-
-
-def _scan_generic(grid: models.PropagatorGrid, cond_threshold: float):
-    # the transfer matrix is a unitary change of basis of the superoperator,
-    # so it has the same singular values and condition number
-    u_svd, s, vh = np.linalg.svd(grid.ptm[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    singular = ~np.isfinite(cond) | (cond > cond_threshold)
-    noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
-    s_safe = np.where(singular[:, None], 1.0, s)
-    inv = (np.swapaxes(vh, 1, 2) / s_safe[:, None, :]) @ np.swapaxes(u_svd, 1, 2)
-    lam = grid.ptm_shift @ inv
-
-    evals = np.linalg.eigvalsh(qmat.choi_of_ptm(lam))
-    # the inverted trace row carries noise of the noise floor's order; the
-    # kernel's -|F0| term turns it into a lower bound within that floor
-    p_witness = np.full(len(lam), np.nan)
-    p_witness[~singular] = _p_witness(lam[~singular])
-    return evals[:, 0].copy(), p_witness, np.abs(evals).sum(axis=1), singular, noise
-
 
 #: per covariance axis, the cyclic (so proper) relabelling ``(i, j, a)`` that
 #: takes the axis ``a`` to z and the perpendicular plane to ``(x, y)``
@@ -248,7 +229,7 @@ def _covariant_cond(f: np.ndarray, a: int, perp: np.ndarray) -> np.ndarray:
         return np.maximum(s_max, perp.max(axis=1)) / np.minimum(d_a / s_max, perp.min(axis=1))
 
 
-def _scan_covariant(grid: models.PropagatorGrid, cond_threshold: float):
+def _scan_covariant(grid: models.PropagatorGrid):
     """Closed-form witnesses of a grid covariant about ``grid.axis``.
 
     A cyclic relabelling takes the axis to z; it is a proper rotation, a
@@ -270,8 +251,8 @@ def _scan_covariant(grid: models.PropagatorGrid, cond_threshold: float):
 
     An analytic grid is exact: only a vanishing ``d`` makes a step singular,
     and the noise floor is zero. A propagated grid carries the rounding of
-    its propagation, so it takes the generic path's criterion, ``cond(F_t)``
-    against ``cond_threshold``, and its noise floor.
+    its propagation, so it takes the generic scan's criterion, ``cond(F_t)``
+    against ``config.DEFAULT.cond_threshold``, and its noise floor.
     """
     i, j, a = _CYCLIC[grid.axis]
     axes = np.array((i, j, a))
@@ -295,7 +276,7 @@ def _scan_covariant(grid: models.PropagatorGrid, cond_threshold: float):
     noise = np.zeros(len(d_t))
     if grid.propagated:
         cond = _covariant_cond(f, a, np.abs(d_t[:, :2]))
-        singular |= ~np.isfinite(cond) | (cond > cond_threshold)
+        singular |= ~np.isfinite(cond) | (cond > config.DEFAULT.cond_threshold)
         noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
     mu[singular], c[singular] = 1.0, 0.0  # finite placeholders, masked later
     m1, m2, m3 = mu.T
@@ -315,15 +296,9 @@ def _scan_covariant(grid: models.PropagatorGrid, cond_threshold: float):
             trace_norm, singular, noise)
 
 
-def complement_scan(
-    grid: models.PropagatorGrid,
-    cond_threshold: float = config.DEFAULT.cond_threshold,
-) -> ComplementScan:
+def complement_scan(grid: models.PropagatorGrid) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
-    if grid.axis is not None:
-        cp, p, trace_norm, singular, noise = _scan_covariant(grid, cond_threshold)
-    else:
-        cp, p, trace_norm, singular, noise = _scan_generic(grid, cond_threshold)
+    cp, p, trace_norm, singular, noise = _scan_covariant(grid)
     for w in (cp, p, trace_norm):
         w[singular] = np.nan
     return ComplementScan(grid.times[:-1], grid.eps, grid.dt,

@@ -1,9 +1,8 @@
 """The four qubit dynamics families and their time-local propagators.
 
-Every model produces a family of qubit maps ``E_t``. Single maps are 4x4
-superoperators in the column-stacking convention of :mod:`kdivis.qmat`;
-time grids (:class:`PropagatorGrid`) hold the real Pauli transfer matrices
-that the divisibility scan and the measures work on:
+Every model produces a family of qubit maps ``E_t``, held on time grids
+(:class:`PropagatorGrid`) as the real Pauli transfer matrices that the
+divisibility scan and the measures work on:
 
 * :class:`PauliChannelModel` -- dephasing along the three Pauli axes with
   time-dependent rates; solved in closed form in the Pauli eigenbasis.
@@ -29,12 +28,13 @@ real arithmetic in the orthonormal two-qubit Pauli basis
 is a real 16x16 matrix: one ``expm`` of the time step, propagated by
 doubling, and the reduced transfer matrices are the rows with the identity
 on the environment factor, since the partial trace keeps exactly those.
-:func:`reduced_propagator` keeps the complex superoperator route as the RK4
-oracle. Each model class declares the axis its maps are covariant about:
+Each model class declares the axis its maps are covariant about:
 z for the diagonal-affine Pauli, amplitude-damping and superradiance maps,
 x for the C-NOT maps, whose yz block is a scaled rotation. Every grid takes
 the one closed-form complement scan about its axis; the composite grids add
-the conditioning criterion of a propagated grid.
+the conditioning criterion of a propagated grid. The single-map
+superoperator and RK4 routes, and the generic inversion scan, are test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import expm
 
 from . import config, qmat
-from .errors import IntegrationUnstable, QuadratureFailure
+from .errors import QuadratureFailure
 
 __all__ = [
     "RateFn",
@@ -58,12 +58,6 @@ __all__ = [
     "CnotControlModel",
     "SuperradianceModel",
     "PropagatorGrid",
-    "pauli_generator",
-    "pauli_propagator_analytic",
-    "amplitude_damping_propagator",
-    "damping_superop",
-    "reduced_propagator",
-    "propagate_rk4",
     "check_time_grid",
     "propagator_grid",
     "model_from_params",
@@ -242,23 +236,6 @@ class PauliChannelModel:
         return lam
 
 
-def pauli_generator(model: PauliChannelModel, t: float) -> np.ndarray:
-    """Superoperator of the instantaneous Pauli-channel generator at time t."""
-    out = np.zeros((4, 4), dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    for g, s in zip(model.rates, qmat.PAULIS[1:]):
-        out += 0.5 * float(g(t)) * (qmat.sandwich_superop(s, s) - eye)
-    return out
-
-
-def pauli_propagator_analytic(model: PauliChannelModel, t: float) -> np.ndarray:
-    """Propagator of the Pauli channel, diagonal in the Pauli basis."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam = model.bloch_eigenvalues(np.array([t]))[0]
-    return qmat.pauli_diagonal_superop(lam)
-
-
 # ---------------------------------------------------------------------------
 # Amplitude damping with a Lorentzian reservoir
 # ---------------------------------------------------------------------------
@@ -325,31 +302,6 @@ class AmplitudeDampingModel:
             return None
         dabs = abs(self._d)
         return 2.0 * (np.pi - np.arctan(dabs / self.lam)) / dabs
-
-
-def damping_superop(g) -> np.ndarray:
-    """Qubit map scaling coherences by ``g`` and the excited population
-    (of ``|1>``) by ``g**2``, with the ground population adjusted to keep the
-    trace. CPTP exactly when ``|g| <= 1``; well defined as a linear map for
-    any real ``g``. Accepts scalars or arrays (stacked output).
-    """
-    g = np.asarray(g, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    out = np.zeros((g.size, 4, 4), dtype=complex)
-    out[:, 0, 0] = 1.0
-    out[:, 0, 3] = 1.0 - g * g
-    out[:, 1, 1] = g
-    out[:, 2, 2] = g
-    out[:, 3, 3] = g * g
-    return out[0] if scalar else out
-
-
-def amplitude_damping_propagator(model: AmplitudeDampingModel, t: float) -> np.ndarray:
-    """Propagator of the amplitude-damping model at time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return damping_superop(model.survival(t))
 
 
 # ---------------------------------------------------------------------------
@@ -492,115 +444,6 @@ class SuperradianceModel:
 
 
 # ---------------------------------------------------------------------------
-# Propagation
-# ---------------------------------------------------------------------------
-
-def _rk4(gen_fn, t: float, steps: int, y0: np.ndarray) -> np.ndarray:
-    h = t / steps
-    y = y0.astype(complex).copy()
-    for i in range(steps):
-        t0 = i * h
-        l0 = gen_fn(t0)
-        lh = gen_fn(t0 + 0.5 * h)
-        l1 = gen_fn(t0 + h)
-        k1 = l0 @ y
-        k2 = lh @ (y + 0.5 * h * k1)
-        k3 = lh @ (y + 0.5 * h * k2)
-        k4 = l1 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def propagate_rk4(gen_fn, t: float, steps: int, check: bool = False) -> np.ndarray:
-    """Fixed-step fourth-order integration of ``dE/dt = L(t) E`` from E(0)=I.
-
-    ``gen_fn`` maps a time to a generator in superoperator form (any square
-    dimension). With ``check=True`` the integration is repeated at half the
-    step; disagreement beyond tolerance raises :class:`IntegrationUnstable`.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if t == 0.0:
-        return np.eye(gen_fn(0.0).shape[0], dtype=complex)
-    dim = gen_fn(0.0).shape[0]
-    eye = np.eye(dim, dtype=complex)
-    e = _rk4(gen_fn, t, steps, eye)
-    if check:
-        e_fine = _rk4(gen_fn, t, 2 * steps, eye)
-        dev = np.abs(e_fine - e).max()
-        if dev > config.DEFAULT.integration:
-            raise IntegrationUnstable(
-                f"halving the step changed the propagator by {dev:.2e}")
-        e = e_fine
-    return e
-
-
-def _joint_basis_columns(env_state: np.ndarray, which_env: int) -> np.ndarray:
-    """vec'ed joint inputs (rho_env x |i><j|) for the four system basis ops,
-    as a (16, 4) matrix with column index 2j + i.
-    """
-    cols = np.zeros((16, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            basis = np.zeros((2, 2), dtype=complex)
-            basis[i, j] = 1.0
-            joint = np.kron(env_state, basis) if which_env == 0 else np.kron(basis, env_state)
-            cols[:, 2 * j + i] = qmat.vec(joint)
-    return cols
-
-
-def _reduce_joint_columns(y: np.ndarray, which_env: int) -> np.ndarray:
-    """Contract evolved joint columns ``(..., 16, 4)`` into system superoperators
-    ``(..., 4, 4)`` by tracing out the environment factor.
-    """
-    lead = y.shape[:-2]
-    # vec index v = 4c + r with c, r two-qubit indices (2 b0 + b1, 2 a0 + a1)
-    y6 = y.reshape(*lead, 2, 2, 2, 2, 4)
-    if which_env == 0:
-        out = np.einsum("...ebeak->...abk", y6)
-    else:
-        out = np.einsum("...beaek->...abk", y6)
-    n = out.ndim
-    # (..., row a, col b, k) -> vec index 2b + a in the first output axis
-    return out.transpose(*range(n - 3), n - 2, n - 3, n - 1).reshape(*lead, 4, 4)
-
-
-def reduced_propagator(
-    gen: np.ndarray,
-    env_state: np.ndarray,
-    which_env: int,
-    t: float,
-    steps: int,
-    check: bool = False,
-) -> np.ndarray:
-    """System propagator ``rho_S -> Tr_env[e^{L t}(rho_S x rho_env)]``.
-
-    Evolves the four system basis operators jointly with the environment
-    state under the two-qubit generator ``gen`` and traces out the factor
-    ``which_env``.
-    """
-    qmat.validate_density_matrix(env_state)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cols = _joint_basis_columns(np.asarray(env_state, dtype=complex), which_env)
-    if t == 0.0:
-        return np.eye(4, dtype=complex)
-    gen = np.asarray(gen, dtype=complex)
-    y = _rk4(lambda _t: gen, t, steps, cols)
-    if check:
-        y_fine = _rk4(lambda _t: gen, t, 2 * steps, cols)
-        dev = np.abs(_reduce_joint_columns(y_fine, which_env)
-                     - _reduce_joint_columns(y, which_env)).max()
-        if dev > config.DEFAULT.integration:
-            raise IntegrationUnstable(
-                f"halving the step changed the reduced propagator by {dev:.2e}")
-        y = y_fine
-    return _reduce_joint_columns(y, which_env)
-
-
-# ---------------------------------------------------------------------------
 # Propagators on a time grid
 # ---------------------------------------------------------------------------
 
@@ -612,7 +455,7 @@ class PropagatorGrid:
     ``F[1:, 0]`` are the Bloch-affine form ``r -> M r + c``.
 
     ``axis`` is the Pauli index (1, 2, 3 for x, y, z) of the axis every map
-    of the grid is covariant about, or None for no known structure. About
+    of the grid is covariant about; every family declares one. About
     axis ``a`` the Bloch form splits into ``r_a -> d_a r_a + c_a`` and a 2x2
     block on the perpendicular plane, with exact zeros elsewhere. The block
     is diagonal (Pauli, amplitude-damping and superradiance families, all
@@ -630,7 +473,7 @@ class PropagatorGrid:
     eps: float
     ptm: np.ndarray
     ptm_shift: np.ndarray
-    axis: int | None = None
+    axis: int
     propagated: bool = False
 
     @property

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from kdivis import models, qmat
 
 
@@ -23,21 +24,21 @@ def random_cptp_map(rng):
     g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     v, _ = np.linalg.qr(g)
     kraus = [v[0:2, :], v[2:4, :]]
-    return qmat.superop_from_kraus(kraus)
+    return oracles.superop_from_kraus(kraus)
 
 
-def one_step_grid(e_t, e_te, epsilon=1.0, axis=None):
+def one_step_grid(e_t, e_te, epsilon=1.0):
     """Propagator grid holding one complement step, from the superoperator
-    ``e_t`` to ``e_te`` a step ``epsilon`` later.
+    ``e_t`` to ``e_te`` a step ``epsilon`` later, covariant about z.
 
-    ``axis=3`` sends :func:`~kdivis.divisibility.complement_scan` down the
-    closed form about z, which reads only the diagonal and the z offset of
-    the transfer matrices, so both maps must be diagonal-affine;
-    ``axis=None`` sends it down the generic inversion path.
+    :func:`~kdivis.divisibility.complement_scan` takes the closed form about
+    z, which reads only the diagonal and the z offset of the transfer
+    matrices, so for it both maps must be diagonal-affine;
+    :func:`oracles.generic_scan` reads no axis and takes any pair.
     """
     ptm = qmat.pauli_transfer_matrix(np.array([e_t, e_te]))
     return models.PropagatorGrid(times=np.array([0.0, epsilon]), dt=epsilon, eps=epsilon,
-                                 ptm=ptm, ptm_shift=ptm[1:], axis=axis)
+                                 ptm=ptm, ptm_shift=ptm[1:], axis=3)
 
 
 def random_density_matrix(rng):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import one_step_grid, random_cptp_map, random_hp_tp_map
+import oracles
 from kdivis import config, divisibility, models, qmat
 from kdivis.divisibility import DivisibilityClass
 from kdivis.errors import AllStepsSingular
@@ -27,9 +26,9 @@ def _transpose_superop():
 # ---------------------------------------------------------------------------
 
 def _scans(e_t, e_te, epsilon=1.0):
-    """Scans of the one-step grid on the closed form and on the generic path."""
-    return [divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, axis))
-            for axis in (3, None)]
+    """Scans of the one-step grid on the closed form and on the generic scan."""
+    grid = one_step_grid(e_t, e_te, epsilon)
+    return [divisibility.complement_scan(grid), oracles.generic_scan(grid)]
 
 
 def _assert_scan_matches_map(scan, lam, atol):
@@ -38,7 +37,7 @@ def _assert_scan_matches_map(scan, lam, atol):
     assert not scan.singular[0]
     assert_allclose(scan.cp_witness[0], divisibility.is_cp(lam)[1], rtol=0, atol=atol)
     assert_allclose(scan.p_witness[0], divisibility.is_positive(lam)[1], rtol=0, atol=atol)
-    assert_allclose(scan.choi_trace_norm[0], qmat.trace_norm(qmat.choi_of(lam)),
+    assert_allclose(scan.choi_trace_norm[0], oracles.trace_norm(qmat.choi_of(lam)),
                     rtol=0, atol=atol)
 
 
@@ -62,9 +61,9 @@ def test_complement_of_identity_is_identity():
 def test_complement_of_pauli_maps_is_ratio_diagonal():
     lam_t = np.array([0.9, 0.8, 0.72])
     lam_te = np.array([0.87, 0.75, 0.65])
-    for scan in _scans(qmat.pauli_diagonal_superop(lam_t),
-                       qmat.pauli_diagonal_superop(lam_te), epsilon=0.05):
-        _assert_scan_matches_map(scan, qmat.pauli_diagonal_superop(lam_te / lam_t), 1e-12)
+    for scan in _scans(oracles.pauli_diagonal_superop(lam_t),
+                       oracles.pauli_diagonal_superop(lam_te), epsilon=0.05):
+        _assert_scan_matches_map(scan, oracles.pauli_diagonal_superop(lam_te / lam_t), 1e-12)
 
 
 def test_complement_hall_first_order_expansion():
@@ -72,23 +71,23 @@ def test_complement_hall_first_order_expansion():
     # lowest Choi level is -eps tanh(1) / 2
     model = models.PauliChannelModel.hall()
     t, eps = 1.0, 1e-5
-    expected = qmat.pauli_diagonal_superop([1 - eps * (1 - np.tanh(1.0)),
-                                            1 - eps * (1 - np.tanh(1.0)),
-                                            1 - 2 * eps])
-    for scan in _scans(models.pauli_propagator_analytic(model, t),
-                       models.pauli_propagator_analytic(model, t + eps), epsilon=eps):
+    expected = oracles.pauli_diagonal_superop([1 - eps * (1 - np.tanh(1.0)),
+                                               1 - eps * (1 - np.tanh(1.0)),
+                                               1 - 2 * eps])
+    for scan in _scans(oracles.pauli_propagator_analytic(model, t),
+                       oracles.pauli_propagator_analytic(model, t + eps), epsilon=eps):
         _assert_scan_matches_map(scan, expected, 1e-9)
         assert_allclose(scan.cp_witness[0], -0.5 * eps * np.tanh(1.0), rtol=1e-4)
 
 
 def test_complement_satisfies_defining_identity(rng):
-    # generic path on random CPTP and HP TP pairs: the scan's witnesses are
-    # those of L = E_te E_t^-1, inverted here, within the conditioning of E_t
+    # generic scan on random CPTP and HP TP pairs: its witnesses are those
+    # of L = E_te E_t^-1, inverted here, within the conditioning of E_t
     checked = 0
     for k in range(40):
         e_t = random_cptp_map(rng) if k % 2 else random_hp_tp_map(rng)
         e_te = random_cptp_map(rng) if k % 4 < 2 else random_hp_tp_map(rng)
-        scan = divisibility.complement_scan(one_step_grid(e_t, e_te, 0.1))
+        scan = oracles.generic_scan(one_step_grid(e_t, e_te, 0.1))
         cond = np.linalg.cond(e_t)
         if scan.singular[0]:
             assert cond > config.DEFAULT.cond_threshold
@@ -101,9 +100,9 @@ def test_complement_satisfies_defining_identity(rng):
 
 
 def test_complement_propagates_singular_map():
-    # the fully depolarizing map has no inverse: both paths flag the step,
+    # the fully depolarizing map has no inverse: both scans flag the step,
     # leave its witnesses NaN, and a verdict over it alone has no vote
-    for scan in _scans(qmat.depolarizing_superop(), np.eye(4), epsilon=0.1):
+    for scan in _scans(oracles.depolarizing_superop(), np.eye(4), epsilon=0.1):
         assert scan.singular[0]
         assert np.isnan([scan.cp_witness[0], scan.p_witness[0],
                          scan.choi_trace_norm[0]]).all()
@@ -131,10 +130,10 @@ def test_is_cp_depolarizing_complement_with_positive_rates():
     # constant nonnegative rates keep every complement step CP
     model = models.PauliChannelModel.constant(0.4, 0.3, 0.2)
     lam = model.bloch_eigenvalues(np.array([1.0, 1.02]))
-    ok, witness = divisibility.is_cp(qmat.pauli_diagonal_superop(lam[1] / lam[0]))
+    ok, witness = divisibility.is_cp(oracles.pauli_diagonal_superop(lam[1] / lam[0]))
     assert ok and witness > -1e-12
-    for scan in _scans(qmat.pauli_diagonal_superop(lam[0]),
-                       qmat.pauli_diagonal_superop(lam[1]), epsilon=0.02):
+    for scan in _scans(oracles.pauli_diagonal_superop(lam[0]),
+                       oracles.pauli_diagonal_superop(lam[1]), epsilon=0.02):
         assert_allclose(scan.cp_witness[0], witness, rtol=0, atol=1e-12)
 
 
@@ -149,7 +148,7 @@ def test_is_positive_expanding_pauli_map():
     # Bloch eigenvalues (1, 1, 1.2) push pole states out of the ball;
     # the worst output eigenvalue is (1 - 1.2)/2 = -0.1
     ok, witness = divisibility.is_positive(
-        qmat.pauli_diagonal_superop([1.0, 1.0, 1.2]))
+        oracles.pauli_diagonal_superop([1.0, 1.0, 1.2]))
     assert not ok
     assert_allclose(witness, -0.1, atol=1e-9)
 
@@ -161,8 +160,8 @@ def test_is_positive_matches_dense_sphere_oracle(rng):
         u = qmat.fibonacci_sphere(4000)
         worst = np.inf
         for direction in u:
-            rho = qmat.density_from_bloch(direction)
-            out = qmat.apply_superop(l, rho)
+            rho = oracles.density_from_bloch(direction)
+            out = oracles.apply_superop(l, rho)
             worst = min(worst, float(np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0]))
         _, witness = divisibility.is_positive(l)
         assert witness <= worst + 1e-7
@@ -230,13 +229,13 @@ def test_is_positive_rejects_non_trace_preserving_map():
     # a single-Kraus filter loses trace
     kraus = np.diag([1.0, 0.5])
     with pytest.raises(ValueError, match="trace-preserving"):
-        divisibility.is_positive(qmat.sandwich_superop(kraus, kraus.conj().T))
+        divisibility.is_positive(oracles.sandwich_superop(kraus, kraus.conj().T))
 
 
 def _closed_form_p_witness(mu):
     """P witness of the Pauli-diagonal map with Bloch eigenvalues ``mu``,
     from the scan's closed form: the complement of the identity by it."""
-    grid = one_step_grid(np.eye(4), qmat.pauli_diagonal_superop(mu), axis=3)
+    grid = one_step_grid(np.eye(4), oracles.pauli_diagonal_superop(mu))
     return divisibility.complement_scan(grid).p_witness[0]
 
 
@@ -244,7 +243,7 @@ def test_is_positive_pauli_diagonal_basic():
     # a unital map preserves positivity iff it keeps the Bloch ball, |mu_j| <= 1
     assert _closed_form_p_witness([1.0, 1.0, 1.0]) == 0.0
     assert _closed_form_p_witness([0.9, -0.9, 0.8]) > 0.0
-    ok, _ = divisibility.is_positive(qmat.pauli_diagonal_superop([0.9, -0.9, 0.8]))
+    ok, _ = divisibility.is_positive(oracles.pauli_diagonal_superop([0.9, -0.9, 0.8]))
     assert ok
     assert_allclose(_closed_form_p_witness([1.2, 0.0, 0.0]), -0.1, atol=1e-15)
 
@@ -265,7 +264,7 @@ def test_hall_complement_stays_positive_for_all_t():
 def test_pauli_fast_path_agrees_with_general_search(mu):
     fast = _closed_form_p_witness(mu)
     general, witness = divisibility.is_positive(
-        qmat.pauli_diagonal_superop(mu), tol=0.5e-9)
+        oracles.pauli_diagonal_superop(mu), tol=0.5e-9)
     assert (fast >= -0.5e-9) == general, (mu, fast, witness)
     assert_allclose(fast, witness, rtol=0, atol=1e-12)
 
@@ -275,7 +274,7 @@ def test_pauli_fast_path_agrees_on_200_random_maps(rng):
         mu = rng.uniform(-1.5, 1.5, size=3)
         fast = _closed_form_p_witness(mu)
         general, witness = divisibility.is_positive(
-            qmat.pauli_diagonal_superop(mu), tol=0.5e-9)
+            oracles.pauli_diagonal_superop(mu), tol=0.5e-9)
         assert (fast >= -0.5e-9) == general, (mu, fast, witness)
         # the witness itself has the closed form (1 - max|mu|)/2
         assert_allclose(fast, 0.5 * (1.0 - np.abs(mu).max()), atol=1e-12)
@@ -406,13 +405,12 @@ def _cnot_draws(rng):
 
 
 def test_scan_fast_paths_agree_with_generic(rng):
-    # clear the axis to force the matrix-inversion route
+    # the generic scan inverts every transfer matrix and reads no axis
     for model, horizon in ((models.PauliChannelModel.hall(), 4.0),
                            (models.AmplitudeDampingModel(2.0, 1.0), 4.0)):
         grid = models.propagator_grid(model, horizon, 100)
         fast = divisibility.complement_scan(grid)
-        stripped = dataclasses.replace(grid, axis=None)
-        generic = divisibility.complement_scan(stripped)
+        generic = oracles.generic_scan(grid)
         ok = ~generic.singular & (generic.noise_floor < 1e-9)
         assert ok.sum() > 50
         assert_allclose(fast.cp_witness[ok], generic.cp_witness[ok], atol=1e-8)
@@ -428,7 +426,7 @@ def test_scan_fast_paths_agree_with_generic(rng):
         for grid in draws(rng):
             assert grid.axis == axis and grid.propagated
             fast = divisibility.complement_scan(grid)
-            generic = divisibility.complement_scan(dataclasses.replace(grid, axis=None))
+            generic = oracles.generic_scan(grid)
             assert np.array_equal(fast.singular, generic.singular)
             n_singular += int(generic.singular.sum())
             ok = ~generic.singular
@@ -471,7 +469,7 @@ def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
     for i, e in enumerate(superops):
         assert_allclose(scan.cp_witness[i], divisibility.is_cp(e)[1], rtol=0, atol=1e-12)
         assert_allclose(scan.p_witness[i], divisibility.is_positive(e)[1], rtol=0, atol=1e-12)
-        assert_allclose(scan.choi_trace_norm[i], qmat.trace_norm(qmat.choi_of(e)),
+        assert_allclose(scan.choi_trace_norm[i], oracles.trace_norm(qmat.choi_of(e)),
                         rtol=0, atol=1e-12)
     # both branches of the positivity closed form are exercised
     m = np.maximum(mu[:, 0] ** 2, mu[:, 1] ** 2)
@@ -480,12 +478,11 @@ def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
 
 
 def test_singular_steps_reported_and_excluded():
-    # force the generic path on a long amplitude-damping horizon: deep decay
-    # exceeds the condition threshold and those steps are skipped
-    model = models.AmplitudeDampingModel(0.9, 2.0)
+    # a strongly damped C-NOT grid over a long horizon: deep decay exceeds
+    # the condition threshold and those steps are skipped
+    model = models.CnotControlModel(J=1.0, gamma=1.0, a=0.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, axis=None)
-    scan = divisibility.complement_scan(stripped)
+    scan = divisibility.complement_scan(grid)
     assert scan.singular.any() and not scan.singular.all()
     verdict = divisibility.verdict_from_scan(scan)
     assert verdict.pd_class == DivisibilityClass.PD2
@@ -496,10 +493,14 @@ def test_singular_steps_reported_and_excluded():
 def test_all_steps_singular_raises():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 10.0, 50)
-    stripped = dataclasses.replace(grid, axis=None)
     with pytest.raises(AllStepsSingular):
-        scan = divisibility.complement_scan(stripped, cond_threshold=0.5)
+        scan = oracles.generic_scan(grid, cond_threshold=0.5)
         divisibility.verdict_from_scan(scan)
+    # the damping map with zero survival loses every coherence: its one step
+    # has no complement
+    lost = oracles.damping_superop(0.0)
+    with pytest.raises(AllStepsSingular):
+        divisibility.verdict_from_scan(divisibility.complement_scan(one_step_grid(lost, lost)))
 
 
 def test_near_boundary_band():

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import one_step_grid
+import oracles
 from kdivis import divisibility, measures, models, qmat
 from kdivis.divisibility import DivisibilityClass
 
@@ -50,12 +50,12 @@ def test_blp_trace_distance_matches_trace_norm_path():
     result = measures.blp_from_grid(grid, 8)
     dirs = result.directions
     for p in (0, 3, 7):
-        rho_plus = qmat.density_from_bloch(dirs[p])
-        rho_minus = qmat.density_from_bloch(-dirs[p])
+        rho_plus = oracles.density_from_bloch(dirs[p])
+        rho_minus = oracles.density_from_bloch(-dirs[p])
         for i in (0, 20, 50):
-            e = models.amplitude_damping_propagator(model, grid.times[i])
-            direct = qmat.trace_distance(qmat.apply_superop(e, rho_plus),
-                                         qmat.apply_superop(e, rho_minus))
+            e = oracles.amplitude_damping_propagator(model, grid.times[i])
+            direct = oracles.trace_distance(oracles.apply_superop(e, rho_plus),
+                                            oracles.apply_superop(e, rho_minus))
             shortcut = np.linalg.norm(grid.ptm[i, 1:, 1:] @ dirs[p])
             assert_allclose(direct, shortcut, atol=1e-10)
 
@@ -110,8 +110,9 @@ def test_blp_gram_form_on_general_bloch_maps():
     ptm = np.zeros((len(bloch), 4, 4))
     ptm[:, 0, 0] = 1.0
     ptm[:, 1:, 1:] = bloch
+    # blp_from_grid reads no covariance axis, so any label serves
     grid = models.PropagatorGrid(times=np.arange(len(bloch), dtype=float), dt=1.0,
-                                 eps=1.0, ptm=ptm, ptm_shift=ptm[1:])
+                                 eps=1.0, ptm=ptm, ptm_shift=ptm[1:], axis=3)
     result = measures.blp_from_grid(grid, 16)
     positive, sigma = _direct_blp(grid, dirs)
     assert_allclose(result.sigma_series[:39], sigma[:39], rtol=0, atol=1e-12)
@@ -152,29 +153,28 @@ def test_blp_from_grid_peak_allocation():
 # RHP
 # ---------------------------------------------------------------------------
 
-def _rhp_g(e_t, e_te, epsilon, axis=None):
+def _rhp_g(e_t, e_te, epsilon, scan=oracles.generic_scan):
     """RHP rate of the one complement step from ``e_t`` to ``e_te``."""
-    scan = divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon, axis))
-    return measures.rhp_from_scan(scan).g_series[0]
+    return measures.rhp_from_scan(scan(one_step_grid(e_t, e_te, epsilon))).g_series[0]
 
 
 def test_rhp_g_zero_for_cp_complement():
-    for axis in (3, None):
-        assert _rhp_g(np.eye(4), np.eye(4), 0.02, axis) == 0.0
+    for scan in (divisibility.complement_scan, oracles.generic_scan):
+        assert _rhp_g(np.eye(4), np.eye(4), 0.02, scan) == 0.0
 
 
 def test_rhp_g_positive_for_hall_complement():
     model = models.PauliChannelModel.hall()
     t, eps = 1.0, 0.01
-    e_t = models.pauli_propagator_analytic(model, t)
-    e_te = models.pauli_propagator_analytic(model, t + eps)
+    e_t = oracles.pauli_propagator_analytic(model, t)
+    e_te = oracles.pauli_propagator_analytic(model, t + eps)
     # oracle: the complement, inverted here, has one negative Choi level of
     # size ~ eps tanh(t)/2
     choi = qmat.choi_of(e_te @ np.linalg.inv(e_t))
     lowest = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]
     assert lowest < -1e-4
-    for axis in (3, None):
-        g = _rhp_g(e_t, e_te, eps, axis)
+    for scan in (divisibility.complement_scan, oracles.generic_scan):
+        g = _rhp_g(e_t, e_te, eps, scan)
         assert_allclose(g, -2.0 * lowest / eps, rtol=1e-6)
         assert_allclose(g, np.tanh(t), atol=0.02)
 
@@ -183,7 +183,7 @@ def test_rhp_g_from_synthetic_choi_spectrum():
     # complement with Choi eigenvalues (0.6, 0.5, -0.1, 0): trace norm 1.2
     eps = 0.05
     diag = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-    assert_allclose(_rhp_g(np.eye(4), qmat.superop_of_choi(diag), eps), 0.2 / eps,
+    assert_allclose(_rhp_g(np.eye(4), oracles.superop_of_choi(diag), eps), 0.2 / eps,
                     atol=1e-12)
 
 
@@ -281,10 +281,9 @@ def test_rhp_agrees_with_classifier_away_from_boundaries():
 
 
 def test_rhp_skips_singular_steps():
-    model = models.AmplitudeDampingModel(0.9, 2.0)
+    model = models.CnotControlModel(J=1.0, gamma=1.0, a=0.0)
     grid = models.propagator_grid(model, 40.0, 200)
-    stripped = dataclasses.replace(grid, axis=None)
-    scan = divisibility.complement_scan(stripped)
+    scan = divisibility.complement_scan(grid)
     assert scan.singular.any()
     result = measures.rhp_from_scan(scan)
     assert result.measure <= 1e-6

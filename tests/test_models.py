@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+import oracles
 from kdivis import config, models, qmat
 from kdivis.errors import IntegrationUnstable, QuadratureFailure
 
@@ -79,14 +80,14 @@ def test_quadrature_failure_on_wild_rate():
 
 def test_pauli_generator_zero_rates():
     model = models.PauliChannelModel.constant(0.0, 0.0, 0.0)
-    assert_allclose(models.pauli_generator(model, 1.0), np.zeros((4, 4)))
+    assert_allclose(oracles.pauli_generator(model, 1.0), np.zeros((4, 4)))
 
 
 def test_pauli_generator_dephasing_action():
     model = models.PauliChannelModel.constant(0.0, 0.0, 0.8)
-    gen = models.pauli_generator(model, 0.0)
+    gen = oracles.pauli_generator(model, 0.0)
     # sigma_z sigma_x sigma_z = -sigma_x, so L(sigma_x) = -g3 sigma_x
-    assert_allclose(qmat.apply_superop(gen, qmat.SIGMA_X), -0.8 * qmat.SIGMA_X,
+    assert_allclose(oracles.apply_superop(gen, qmat.SIGMA_X), -0.8 * qmat.SIGMA_X,
                     atol=1e-13)
 
 
@@ -94,12 +95,12 @@ def test_pauli_generator_hall_at_zero_time():
     # tanh 0 = 0, so the Hall rates start at (1, 1, 0)
     hall = models.PauliChannelModel.hall()
     ref = models.PauliChannelModel.constant(1.0, 1.0, 0.0)
-    assert_allclose(models.pauli_generator(hall, 0.0),
-                    models.pauli_generator(ref, 5.0), atol=1e-13)
+    assert_allclose(oracles.pauli_generator(hall, 0.0),
+                    oracles.pauli_generator(ref, 5.0), atol=1e-13)
 
 
 def test_pauli_generator_invariants():
-    gen = models.pauli_generator(models.PauliChannelModel.hall(), 0.7)
+    gen = oracles.pauli_generator(models.PauliChannelModel.hall(), 0.7)
     assert _annihilates_trace(gen)
     choi = qmat.reshuffle(gen)
     assert np.abs(choi - choi.conj().T).max() < 1e-12
@@ -107,7 +108,7 @@ def test_pauli_generator_invariants():
 
 def test_pauli_propagator_identity_at_zero():
     model = models.PauliChannelModel.hall()
-    assert_allclose(models.pauli_propagator_analytic(model, 0.0), np.eye(4),
+    assert_allclose(oracles.pauli_propagator_analytic(model, 0.0), np.eye(4),
                     atol=1e-14)
 
 
@@ -130,10 +131,10 @@ def test_pauli_propagator_hall_eigenvalues():
 def test_pauli_propagator_matches_rk4():
     for model in (models.PauliChannelModel.hall(),
                   models.PauliChannelModel.constant(1.0, 1.0, 1.0)):
-        gen_fn = lambda t: models.pauli_generator(model, t)
+        gen_fn = lambda t: oracles.pauli_generator(model, t)
         for t in (1.0, 5.0):
-            rk = models.propagate_rk4(gen_fn, t, steps=max(200, int(200 * t)))
-            exact = models.pauli_propagator_analytic(model, t)
+            rk = oracles.propagate_rk4(gen_fn, t, steps=max(200, int(200 * t)))
+            exact = oracles.pauli_propagator_analytic(model, t)
             assert np.abs(rk - exact).max() < 1e-6
 
 
@@ -147,9 +148,9 @@ def test_rk4_matches_analytic_on_random_bounded_triples(rng):
             continue
         checked += 1
         model = models.PauliChannelModel.constant(*g)
-        gen = models.pauli_generator(model, 0.0)
-        rk = models.propagate_rk4(lambda t: gen, 5.0, steps=1000)
-        exact = models.pauli_propagator_analytic(model, 5.0)
+        gen = oracles.pauli_generator(model, 0.0)
+        rk = oracles.propagate_rk4(lambda t: gen, 5.0, steps=1000)
+        exact = oracles.pauli_propagator_analytic(model, 5.0)
         assert np.abs(rk - exact).max() <= 1e-6, g
 
 
@@ -184,7 +185,7 @@ def test_survival_derivative_matches_finite_differences():
 
 def test_ad_propagator_identity_at_zero():
     model = models.AmplitudeDampingModel(1.0, 1.0)
-    assert_allclose(models.amplitude_damping_propagator(model, 0.0), np.eye(4),
+    assert_allclose(oracles.amplitude_damping_propagator(model, 0.0), np.eye(4),
                     atol=1e-14)
 
 
@@ -202,7 +203,7 @@ def test_ad_strong_coupling_zero_and_singularity():
     # root-find oracle on the oscillatory branch
     t_star = brentq(model.survival, 0.5, 4.0, xtol=1e-12)
     assert_allclose(model.first_zero(), t_star, atol=1e-9)
-    e_near = models.amplitude_damping_propagator(model, t_star)
+    e_near = oracles.amplitude_damping_propagator(model, t_star)
     assert np.linalg.cond(e_near) > config.DEFAULT.cond_threshold
     assert models.AmplitudeDampingModel(0.45, 1.0).first_zero() is None
 
@@ -211,9 +212,9 @@ def test_ad_propagator_cptp_on_both_branches():
     for gamma0 in (0.3, 2.5):
         model = models.AmplitudeDampingModel(gamma0, 1.0)
         for t in np.linspace(0.0, 8.0, 40):
-            choi = qmat.choi_of(models.amplitude_damping_propagator(model, t))
+            choi = qmat.choi_of(oracles.amplitude_damping_propagator(model, t))
             assert np.linalg.eigvalsh(choi)[0] >= -1e-9
-            assert _is_tp(models.amplitude_damping_propagator(model, t))
+            assert _is_tp(oracles.amplitude_damping_propagator(model, t))
 
 
 def test_ad_boundary_case_survival_finite():
@@ -351,8 +352,8 @@ def test_rate_rejects_non_finite_constant():
 
 def test_reduced_propagator_identity_at_zero():
     model = models.CnotControlModel(1.0, 0.3, 0.5)
-    e = models.reduced_propagator(model.joint_generator(),
-                                  model.env_state(), model.env_factor, 0.0, 10)
+    e = oracles.reduced_propagator(model.joint_generator(),
+                                   model.env_state(), model.env_factor, 0.0, 10)
     assert_allclose(e, np.eye(4), atol=1e-14)
 
 
@@ -361,8 +362,8 @@ def test_reduced_propagator_cnot_ground_control_is_identity():
     model = models.CnotControlModel(J=1.3, gamma=0.0, a=0.0)
     gen = model.joint_generator()
     for t in (0.7, 3.1, 8.0):
-        e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                      t, steps=max(1, int(200 * t)))
+        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                       t, steps=max(1, int(200 * t)))
         assert np.abs(e - np.eye(4)).max() < 1e-9
 
 
@@ -371,9 +372,9 @@ def test_reduced_propagator_decoupled_superradiance_is_damping():
     model = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0)
     gen = model.joint_generator()
     for t in (0.5, 2.0, 4.0):
-        e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                      t, steps=int(400 * t))
-        expected = models.damping_superop(np.exp(-0.5 * t))
+        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                       t, steps=int(400 * t))
+        expected = oracles.damping_superop(np.exp(-0.5 * t))
         assert np.abs(e - expected).max() < 1e-5
 
 
@@ -386,10 +387,10 @@ def test_superradiance_ground_env_is_time_dependent_damping():
     gen = model.joint_generator()
     g12 = model.cross_rate
     for t in (0.7, 2.1):
-        e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                      t, steps=int(400 * t))
+        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                       t, steps=int(400 * t))
         amp = np.exp(-0.5 * t) * np.cosh(0.5 * g12 * t)
-        assert np.abs(e - models.damping_superop(amp)).max() < 1e-6
+        assert np.abs(e - oracles.damping_superop(amp)).max() < 1e-6
     # the amplitude decreases for every x, which is why the a=0 row is
     # Markovian: |g12| <= g0 keeps d/dt [e^{-g0 t/2} cosh(g12 t/2)] < 0
     ts = np.linspace(0.0, 10.0, 101)
@@ -403,9 +404,9 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
     model = models.CnotControlModel(J=1.3, gamma=0.2, a=1.0)
     gen = model.joint_generator()
     for t in (0.9, 2.4):
-        e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                      t, steps=int(400 * t))
-        m, c = qmat.bloch_affine(e)
+        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                       t, steps=int(400 * t))
+        m, c = oracles.bloch_affine(e)
         angle = model.J * t
         shrink = np.exp(-2.0 * model.gamma * t)
         rot_x = np.array([[1.0, 0.0, 0.0],
@@ -418,31 +419,31 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
 def test_reduced_propagator_is_linear_and_tp(rng):
     model = models.SuperradianceModel(gamma0=1.0, x=2.0, a=0.5)
     gen = model.joint_generator()
-    e = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                  1.3, steps=260)
+    e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                   1.3, steps=260)
     assert _is_tp(e)
     coeffs = rng.normal(size=4)
     mix = sum(c * p for c, p in zip(coeffs, qmat.PAULIS))
-    direct = qmat.apply_superop(e, mix)
-    summed = sum(c * qmat.apply_superop(e, p) for c, p in zip(coeffs, qmat.PAULIS))
+    direct = oracles.apply_superop(e, mix)
+    summed = sum(c * oracles.apply_superop(e, p) for c, p in zip(coeffs, qmat.PAULIS))
     assert np.abs(direct - summed).max() < 1e-8
 
 
 def test_reduced_propagator_validates_env_state():
     model = models.CnotControlModel(1.0, 0.1, 0.5)
     with pytest.raises(ValueError):
-        models.reduced_propagator(model.joint_generator(), np.eye(2),
-                                  0, 1.0, 100)
+        oracles.reduced_propagator(model.joint_generator(), np.eye(2),
+                                   0, 1.0, 100)
 
 
 def test_step_halving_check_flags_coarse_integration():
     model = models.CnotControlModel(J=10.0, gamma=0.0, a=1.0)
     gen = model.joint_generator()
     with pytest.raises(IntegrationUnstable):
-        models.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=3,
-                                  check=True)
-    e = models.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=2000,
-                                  check=True)
+        oracles.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=3,
+                                   check=True)
+    e = oracles.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=2000,
+                                   check=True)
     assert _is_tp(e)
 
 
@@ -452,20 +453,20 @@ def test_step_halving_check_flags_coarse_integration():
 
 def test_rk4_zero_generator_gives_identity():
     zero = np.zeros((4, 4), dtype=complex)
-    e = models.propagate_rk4(lambda t: zero, 7.3, steps=10)
+    e = oracles.propagate_rk4(lambda t: zero, 7.3, steps=10)
     assert_allclose(e, np.eye(4))
 
 
 def test_rk4_matches_analytic_depolarizing():
     model = models.PauliChannelModel.constant(1.0, 1.0, 1.0)
-    gen = models.pauli_generator(model, 0.0)
-    e = models.propagate_rk4(lambda t: gen, 1.0, steps=200)
-    assert np.abs(e - models.pauli_propagator_analytic(model, 1.0)).max() < 1e-6
+    gen = oracles.pauli_generator(model, 0.0)
+    e = oracles.propagate_rk4(lambda t: gen, 1.0, steps=200)
+    assert np.abs(e - oracles.pauli_propagator_analytic(model, 1.0)).max() < 1e-6
 
 
 def test_rk4_requires_at_least_one_step():
     with pytest.raises(ValueError):
-        models.propagate_rk4(lambda t: np.zeros((4, 4)), 1.0, steps=0)
+        oracles.propagate_rk4(lambda t: np.zeros((4, 4)), 1.0, steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +480,22 @@ def test_grid_matches_pointwise_constructions():
     for i in (0, 17, n):
         t = grid.times[i]
         assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
-            models.pauli_propagator_analytic(pauli, t)), atol=1e-12)
+            oracles.pauli_propagator_analytic(pauli, t)), atol=1e-12)
 
     ad = models.AmplitudeDampingModel(2.0, 1.0)
     grid = models.propagator_grid(ad, horizon, n)
     for i in (0, 31, n):
         t = grid.times[i]
         assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
-            models.amplitude_damping_propagator(ad, t)), atol=1e-12)
+            oracles.amplitude_damping_propagator(ad, t)), atol=1e-12)
 
 
 def _expm_grid_ptm(model, times):
     # pointwise e^{L t} on the joint columns, reduced and projected
     gen = model.joint_generator()
-    cols = models._joint_basis_columns(model.env_state(), model.env_factor)
+    cols = oracles._joint_basis_columns(model.env_state(), model.env_factor)
     joint = np.stack([expm(gen * t) @ cols for t in times])
-    return qmat.pauli_transfer_matrix(models._reduce_joint_columns(joint, model.env_factor))
+    return qmat.pauli_transfer_matrix(oracles._reduce_joint_columns(joint, model.env_factor))
 
 
 def test_grid_composite_matches_reduced_propagator():
@@ -503,8 +504,8 @@ def test_grid_composite_matches_reduced_propagator():
     gen = model.joint_generator()
     for i in (10, 50, 100):
         t = grid.times[i]
-        ref = models.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                        t, steps=int(800 * t))
+        ref = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
+                                         t, steps=int(800 * t))
         assert np.abs(grid.ptm[i] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
     # grids filled by doubling: the last block is partial on either side of
     # a power of two, and an off-grid epsilon shifts every map
@@ -526,12 +527,12 @@ def test_grid_shift_off_grid_epsilon():
     grid = models.propagator_grid(model, 2.0, 40, eps=0.01)
     assert grid.eps == 0.01
     assert_allclose(grid.ptm_shift[8], qmat.pauli_transfer_matrix(
-        models.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
+        oracles.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
     cn = models.CnotControlModel(1.0, 0.1, 0.5)
     grid = models.propagator_grid(cn, 2.0, 40, eps=0.01)
     gen = cn.joint_generator()
-    ref = models.reduced_propagator(gen, cn.env_state(), cn.env_factor,
-                                    grid.times[8] + 0.01, steps=600)
+    ref = oracles.reduced_propagator(gen, cn.env_state(), cn.env_factor,
+                                     grid.times[8] + 0.01, steps=600)
     assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
@@ -551,12 +552,12 @@ def test_grid_maps_are_tp_and_hp_for_all_families(rng):
         if isinstance(model, (models.CnotControlModel, models.SuperradianceModel)):
             # the real projection drops any anti-Hermitian part, so Hermiticity
             # is checked on the reduced superoperators before it
-            cols = models._joint_basis_columns(model.env_state(), model.env_factor)
+            cols = oracles._joint_basis_columns(model.env_state(), model.env_factor)
             gen = model.joint_generator()
             joint = np.stack([expm(gen * t) @ cols for t in grid.times[::24]])
-            for e in models._reduce_joint_columns(joint, model.env_factor):
+            for e in oracles._reduce_joint_columns(joint, model.env_factor):
                 assert _is_tp(e), type(model).__name__
-                assert qmat.is_hermiticity_preserving(e, 1e-10)
+                assert oracles.is_hermiticity_preserving(e, 1e-10)
     # grids keep only the real part of the generator in the two-qubit Pauli
     # basis; Hermiticity preservation makes the imaginary part vanish
     p2 = np.stack([qmat.vec(np.kron(sa, sb)) / 2.0
