@@ -11,13 +11,7 @@ from .divisibility import (
     is_cp,
     is_positive,
 )
-from .errors import (
-    AllStepsSingular,
-    IntegrationUnstable,
-    KdivisError,
-    NotHermitian,
-    QuadratureFailure,
-)
+from .errors import AllStepsSingular, KdivisError, QuadratureFailure
 from .measures import (
     BlpResult,
     RhpResult,

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: Hermiticity / trace deviation accepted when constructing states.
-    hermiticity: float = 1e-12
-    #: Looser bound used by verification-style checks (TP tests, residuals).
+    #: Bound used by verification-style checks (TP tests, residuals).
     check: float = 1e-10
     #: Condition number above which a propagator counts as singular.
     cond_threshold: float = 1e8
@@ -23,8 +21,6 @@ class Tolerances:
     violation_per_eps: float = 1e-7
     #: A measure above this value counts as "detected" non-Markovianity.
     detection: float = 1e-5
-    #: Allowed change under step halving before RK4 output is rejected.
-    integration: float = 1e-6
     #: Absolute target for adaptive quadrature of rate integrals.
     quadrature: float = 1e-10
 

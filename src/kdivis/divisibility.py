@@ -79,11 +79,11 @@ class ComplementScan:
     the witness arrays are NaN where ``singular`` is set. Every grid is
     scanned in closed form about its covariance axis; the generic inversion
     scan of ``tests/oracles.py`` is its oracle. ``noise_floor`` is the
-    per-step numerical trust limit: on a numerically propagated grid (the
-    composite families) it scales with the condition number of the transfer
-    matrices, as on the generic scan; on an analytic grid (Pauli and
-    amplitude-damping families) it is zero. Witnesses smaller in magnitude
-    than the floor do not count as violations.
+    per-step numerical trust limit: on a conditioned grid (the composite
+    families) it scales with the condition number of the transfer matrices,
+    as on the generic scan; on the Pauli and amplitude-damping grids it is
+    zero. Witnesses smaller in magnitude than the floor do not count as
+    violations.
     """
 
     times: np.ndarray
@@ -202,7 +202,7 @@ def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
 # Batched scan over a propagator grid
 # ---------------------------------------------------------------------------
 
-#: witness error of a propagated grid is of order macheps * cond(E_t);
+#: witness error of a conditioned grid is of order macheps * cond(E_t);
 #: this multiplier turns that estimate into a trust limit
 _NOISE_FACTOR = 4.0
 
@@ -216,9 +216,9 @@ def _covariant_cond(f: np.ndarray, a: int, perp: np.ndarray) -> np.ndarray:
 
     ``F`` splits into the block ``[[1, 0], [c_a, d_a]]`` and the
     perpendicular block, whose singular values ``perp`` are ``|d_x|, |d_y|``
-    for a diagonal block and ``|z|`` twice for a scaled rotation
-    ``z = A + iB``. With ``s = 1 + c_a^2 + d_a^2`` the first block has
-    ``sigma_max^2 = (s + sqrt(s^2 - 4 d_a^2))/2`` and
+    for a diagonal block and ``|z| = hypot(A, B)`` twice for a scaled
+    rotation ``[[A, -B], [B, A]]``. With ``s = 1 + c_a^2 + d_a^2`` the first
+    block has ``sigma_max^2 = (s + sqrt(s^2 - 4 d_a^2))/2`` and
     ``sigma_min = |d_a|/sigma_max``; ``s^2 - 4 d_a^2`` is the product of
     ``(1 -+ |d_a|)^2 + c_a^2``, so neither involves a cancellation.
     """
@@ -249,10 +249,11 @@ def _scan_covariant(grid: models.PropagatorGrid):
     pole, ``(|mu_3| + |c|)^2``, or at the vertex ``m + c^2 m / (m - mu_3^2)``
     when ``|mu_3 c| <= m - mu_3^2`` puts it inside ``[-1, 1]``.
 
-    An analytic grid is exact: only a vanishing ``d`` makes a step singular,
-    and the noise floor is zero. A propagated grid carries the rounding of
-    its propagation, so it takes the generic scan's criterion, ``cond(F_t)``
-    against ``config.DEFAULT.cond_threshold``, and its noise floor.
+    On the Pauli and amplitude-damping grids only a vanishing ``d`` makes a
+    step singular, and the noise floor is zero. A conditioned grid (the
+    composite families, whose entries sum terms of either sign) takes the
+    generic scan's criterion, ``cond(F_t)`` against
+    ``config.DEFAULT.cond_threshold``, and its noise floor.
     """
     i, j, a = _CYCLIC[grid.axis]
     axes = np.array((i, j, a))
@@ -261,20 +262,15 @@ def _scan_covariant(grid: models.PropagatorGrid):
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = f_eps[:, axes, axes] / d_t
         if np.count_nonzero(f[:, j, i]) or np.count_nonzero(f_eps[:, j, i]):
-            # a nonzero B marks a rotating block; |z| comes from its
-            # conformal part, the means of the diagonal and off-diagonal pairs
-            z, z_eps = (np.hypot(0.5 * (g[:, i, i] + g[:, j, j]),
-                                 0.5 * (g[:, j, i] - g[:, i, j])) for g in (f, f_eps))
+            # a nonzero B marks a rotating block [[A, -B], [B, A]]; d_t keeps
+            # its singular values, |z| twice, as it keeps a diagonal block's
+            z, z_eps = (np.hypot(g[:, i, i], g[:, j, i]) for g in (f, f_eps))
             mu[:, :2] = (z_eps / z)[:, None]
-            # d_t keeps the block's singular values, as a diagonal block's
-            # entries are: |z| plus the rounding-sized anticonformal part,
-            # and |det|/sigma_max, which involves no cancellation
-            d_t[:, 0] = z + 0.5 * np.hypot(f[:, i, i] - f[:, j, j], f[:, j, i] + f[:, i, j])
-            d_t[:, 1] = np.abs(f[:, i, i] * f[:, j, j] - f[:, i, j] * f[:, j, i]) / d_t[:, 0]
+            d_t[:, :2] = z[:, None]
         c = f_eps[:, a, 0] - mu[:, 2] * f[:, a, 0]
     singular = (~np.isfinite(mu) | (np.abs(d_t) < 1e-300)).any(axis=1) | ~np.isfinite(c)
     noise = np.zeros(len(d_t))
-    if grid.propagated:
+    if grid.conditioned:
         cond = _covariant_cond(f, a, np.abs(d_t[:, :2]))
         singular |= ~np.isfinite(cond) | (cond > config.DEFAULT.cond_threshold)
         noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)

@@ -7,16 +7,8 @@ class KdivisError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitian(KdivisError):
-    """An operator failed its Hermiticity check."""
-
-
 class QuadratureFailure(KdivisError):
     """Adaptive integration of a rate function did not converge."""
-
-
-class IntegrationUnstable(KdivisError):
-    """Halving the RK4 step changed the propagator beyond tolerance."""
 
 
 class AllStepsSingular(KdivisError):

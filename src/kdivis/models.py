@@ -21,20 +21,18 @@ Each model class carries its family tag. :data:`MODEL_FAMILIES`, built once
 from the dataclass fields, is the one table of parameters that configs, flags
 and sweeps are checked against and models are built from.
 
-The first two have analytic propagators whose transfer matrices are
-diagonal-affine and are written directly. The composite ones are built in
-real arithmetic in the orthonormal two-qubit Pauli basis
-``sigma_a x sigma_b / 2``, where the Hermiticity-preserving joint generator
-is a real 16x16 matrix: one ``expm`` of the time step, propagated by
-doubling, and the reduced transfer matrices are the rows with the identity
-on the environment factor, since the partial trace keeps exactly those.
-Each model class declares the axis its maps are covariant about:
-z for the diagonal-affine Pauli, amplitude-damping and superradiance maps,
-x for the C-NOT maps, whose yz block is a scaled rotation. Every grid takes
-the one closed-form complement scan about its axis; the composite grids add
-the conditioning criterion of a propagated grid. The single-map
-superoperator and RK4 routes, and the generic inversion scan, are test
-oracles in ``tests/oracles.py``.
+Every family has a closed-form propagator, written directly as a stack of
+transfer matrices: the Pauli and amplitude-damping maps from their rate
+integrals and survival amplitude, the C-NOT target as a depolarized mixture
+of the identity and a rotation about x, and the superradiant atom as sums of
+exponentials in ``gamma0 +- gamma12`` (Ficek & Tanas 2002). Each model class
+declares the axis its maps are covariant about: z for the diagonal-affine
+Pauli, amplitude-damping and superradiance maps, x for the C-NOT maps, whose
+yz block is a scaled rotation. Every grid takes the one closed-form
+complement scan about its axis; the composite classes also declare that
+their grids take the conditioning criterion. The joint two-qubit generators,
+the single-map superoperator and RK4 routes and the generic inversion scan
+are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import expm
 
-from . import config, qmat
+from . import config
 from .errors import QuadratureFailure
 
 __all__ = [
@@ -182,6 +179,16 @@ def _check_finite(model, *attrs: str) -> None:
             raise ValueError(f"{_PARAM_NAMES.get(attr, attr)} must be finite, got {val}")
 
 
+def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
+    """Stacked transfer matrices of the maps ``r -> diag(d) r + (0, 0, c_z)``."""
+    out = np.zeros((len(d), 4, 4))
+    out[:, 0, 0] = 1.0
+    out[:, 3, 0] = c_z
+    axes = np.arange(1, 4)
+    out[:, axes, axes] = d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pauli channel
 # ---------------------------------------------------------------------------
@@ -194,6 +201,9 @@ class PauliChannelModel:
     #: Pauli index (1, 2, 3 for x, y, z) of the grids' covariance axis, read
     #: by :func:`propagator_grid`; diagonal maps take z
     axis = 3
+    #: whether the grids take the conditioning criterion of the scan (see
+    #: :class:`PropagatorGrid`); products of exponentials need none
+    conditioned = False
 
     g1: RateFn
     g2: RateFn
@@ -235,6 +245,11 @@ class PauliChannelModel:
             lam[:, j] = np.exp(-(gam[:, k] + gam[:, l]))
         return lam
 
+    def transfer_matrices(self, times) -> np.ndarray:
+        """Transfer matrices of ``E_t`` on a sorted time grid, stacked as
+        ``(len(times), 4, 4)``."""
+        return _diagonal_ptm(self.bloch_eigenvalues(times), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # Amplitude damping with a Lorentzian reservoir
@@ -255,6 +270,7 @@ class AmplitudeDampingModel:
 
     family = "ad"
     axis = 3
+    conditioned = False
 
     gamma0: float
     lam: float
@@ -303,64 +319,15 @@ class AmplitudeDampingModel:
         dabs = abs(self._d)
         return 2.0 * (np.pi - np.arctan(dabs / self.lam)) / dabs
 
+    def transfer_matrices(self, times) -> np.ndarray:
+        """Transfer matrices of ``E_t``: ``d = (G, G, G^2)``, ``c_z = 1 - G^2``."""
+        g = self.survival(times)
+        return _diagonal_ptm(np.stack([g, g, g * g], axis=1), 1.0 - g * g)
+
 
 # ---------------------------------------------------------------------------
 # Composite two-qubit models
 # ---------------------------------------------------------------------------
-
-def _lk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # X -> A X B on the joint space
-    return np.kron(b.T, a)
-
-
-def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (_lk(h, eye) - _lk(eye, h))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _cnot_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Generator terms of :class:`CnotControlModel` at ``J = 1`` and at
-    ``gamma = 1``: the C-NOT-type interaction and the target's depolarizing."""
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    ham = _hamiltonian_superop(0.5 * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY)))
-    eye16 = np.eye(16, dtype=complex)
-    dep = np.zeros((16, 16), dtype=complex)
-    for s in qmat.PAULIS[1:]:
-        s_t = np.kron(qmat.IDENTITY, s)
-        dep += 0.5 * (_lk(s_t, s_t) - eye16)
-    return _frozen(ham), _frozen(dep)
-
-
-def _superradiance_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Generator terms of :class:`SuperradianceModel` at unit rates: the
-    independent decays of the two atoms (diagonal of the rate matrix) and
-    their collective cross-coupling (off-diagonal)."""
-    lowers = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
-              np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
-    eye4 = np.eye(4, dtype=complex)
-    own = np.zeros((16, 16), dtype=complex)
-    cross = np.zeros((16, 16), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            raise_i = lowers[i].conj().T
-            pipj = raise_i @ lowers[j]
-            term = _lk(lowers[j], raise_i) - 0.5 * (_lk(pipj, eye4) + _lk(eye4, pipj))
-            if i == j:
-                own += term
-            else:
-                cross += term
-    return _frozen(own), _frozen(cross)
-
-
-_CNOT_HAM, _CNOT_DEP = _cnot_terms()
-_SR_OWN, _SR_CROSS = _superradiance_terms()
-
 
 @dataclass(frozen=True)
 class CnotControlModel:
@@ -376,13 +343,13 @@ class CnotControlModel:
     #: a control-diagonal mixture of rotations about x, then isotropic
     #: depolarizing: covariant about x
     axis = 1
+    #: the yz entries sum terms of either sign, so the scan trusts them only
+    #: up to ``macheps * cond(F)``
+    conditioned = True
 
     J: float
     gamma: float
     a: float
-
-    #: index of the traced-out tensor factor (the control qubit)
-    env_factor = 0
 
     def __post_init__(self):
         _check_finite(self, "J", "gamma", "a")
@@ -391,11 +358,19 @@ class CnotControlModel:
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
 
-    def joint_generator(self) -> np.ndarray:
-        return self.J * _CNOT_HAM + self.gamma * _CNOT_DEP
-
-    def env_state(self) -> np.ndarray:
-        return np.diag([1.0 - self.a, self.a]).astype(complex)
+    def transfer_matrices(self, times) -> np.ndarray:
+        """Transfer matrices of ``E_t``: depolarizing shrinks the Bloch ball by
+        ``e^{-2 gamma t}``, and the yz block is that times
+        ``(1 - a) I + a R_x(J t)``, the control-weighted mixture."""
+        times = np.asarray(times, dtype=float)
+        shrink = np.exp(-2.0 * self.gamma * times)
+        jt = self.J * times
+        rot_a = shrink * (1.0 - self.a + self.a * np.cos(jt))
+        rot_b = shrink * self.a * np.sin(jt)
+        out = _diagonal_ptm(np.stack([shrink, rot_a, rot_a], axis=1), 0.0)
+        out[:, 3, 2] = rot_b
+        out[:, 2, 3] = -rot_b
+        return out
 
 
 @dataclass(frozen=True)
@@ -412,12 +387,13 @@ class SuperradianceModel:
     family = "superradiance"
     #: phase covariant about z
     axis = 3
+    #: ``d_z`` sums terms of either sign and can cross zero, so the scan
+    #: trusts the entries only up to ``macheps * cond(F)``
+    conditioned = True
 
     gamma0: float
     x: float
     a: float
-
-    env_factor = 1
 
     def __post_init__(self):
         _check_finite(self, "gamma0", "x", "a")
@@ -436,11 +412,30 @@ class SuperradianceModel:
         g12 = self.cross_rate
         return np.array([[self.gamma0, g12], [g12, self.gamma0]])
 
-    def joint_generator(self) -> np.ndarray:
-        return self.gamma0 * _SR_OWN + self.cross_rate * _SR_CROSS
+    def transfer_matrices(self, times) -> np.ndarray:
+        """Transfer matrices of ``E_t``, sums of exponentials in the decay
+        rates ``sigma, delta = gamma0 +- g`` of the symmetric and antisymmetric
+        states, with ``g`` the cross rate.
 
-    def env_state(self) -> np.ndarray:
-        return np.diag([1.0 - self.a, self.a]).astype(complex)
+        With ``p = e^{-delta t/2}`` and ``q = e^{-sigma t/2}``,
+        ``d_x = d_y = (p + q)/2 + (a g/gamma0) expm1(-gamma0 t) (p - q)/2``,
+        ``d_z = (p + q)^2/4 + a g [e^{-sigma t} (1 - e^{-delta t})/delta
+        + e^{-delta t} expm1(-sigma t)/sigma]`` and
+        ``c_z = 1 - d_z - a (p - q)^2/2``. Every exponent is at most zero, so
+        nothing overflows; ``(1 - e^{-delta t})/delta`` is ``t`` where
+        ``delta`` rounds to zero (``x`` below about 1e-8).
+        """
+        times = np.asarray(times, dtype=float)
+        g0, g, a = self.gamma0, self.cross_rate, self.a
+        delta, sigma = g0 - g, g0 + g  # |g| <= gamma0: delta >= 0, sigma > 0
+        p, q = np.exp(-0.5 * delta * times), np.exp(-0.5 * sigma * times)
+        d_xy = 0.5 * (p + q) + (a * g / g0) * np.expm1(-g0 * times) * 0.5 * (p - q)
+        rise = times if delta == 0.0 else -np.expm1(-delta * times) / delta
+        d_z = 0.25 * (p + q) ** 2 + a * g * (np.exp(-sigma * times) * rise
+                                             + np.exp(-delta * times)
+                                             * np.expm1(-sigma * times) / sigma)
+        return _diagonal_ptm(np.stack([d_xy, d_xy, d_z], axis=1),
+                             1.0 - d_z - 0.5 * a * (p - q) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +456,11 @@ class PropagatorGrid:
     is diagonal (Pauli, amplitude-damping and superradiance families, all
     about z) or a scaled rotation ``[[A, -B], [B, A]]`` (C-NOT, about x), so
     the complements follow exactly from ratios instead of matrix inversion.
-    Composite grids evolve the joint state's real Pauli coordinates,
-    ``y_i = e^{G dt i} y_0``, and read ``F`` off the rows of ``y_i`` that
-    carry the identity on the environment factor; ``propagated`` marks
-    them, since their maps carry rounding of order ``macheps * cond(F)``
-    that an analytic grid does not.
+    Every family writes its maps in closed form. ``conditioned`` is the
+    model class's flag of the same name: the composite maps sum terms of
+    either sign, so near a zero of an entry their rounding is of order
+    ``macheps * cond(F)``, and the scan takes the conditioning criterion and
+    noise floor of a generic inversion on them.
     """
 
     times: np.ndarray
@@ -474,56 +469,11 @@ class PropagatorGrid:
     ptm: np.ndarray
     ptm_shift: np.ndarray
     axis: int
-    propagated: bool = False
+    conditioned: bool = False
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
-
-
-def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
-    """Stacked transfer matrices of the maps ``r -> diag(d) r + (0, 0, c_z)``."""
-    out = np.zeros((len(d), 4, 4))
-    out[:, 0, 0] = 1.0
-    out[:, 3, 0] = c_z
-    axes = np.arange(1, 4)
-    out[:, axes, axes] = d
-    return out
-
-
-#: columns ``vec(sigma_a x sigma_b) / 2`` at index ``4a + b``, the orthonormal
-#: two-qubit Pauli basis
-_PAULI2 = _frozen(np.stack([qmat.vec(np.kron(sa, sb)) / 2.0
-                            for sa in qmat.PAULIS for sb in qmat.PAULIS], axis=1))
-
-#: rows of one propagation product: 512 x 16 doubles is 64 KiB, and
-#: 512 * 16 * 16 stays below OpenBLAS's threading threshold
-_BLOCK_ROWS = 512
-
-
-def _propagate(step: np.ndarray, cols: np.ndarray, n_steps: int) -> np.ndarray:
-    """The columns ``step^i @ cols`` for ``i = 0..n_steps``, transposed, as
-    ``(n_steps + 1, k, 16)`` for ``k`` columns.
-
-    Filled by doubling: ``y[p:2p] = step^p y[0:p]`` with ``step^p`` squared
-    after each block, until a block reaches ``_BLOCK_ROWS`` rows; from then
-    on blocks of that size advance with the last power.
-    """
-    k = cols.shape[1]
-    y = np.empty((n_steps + 1, k, 16))
-    y[0] = cols.T
-    flat = y.reshape(-1, 16)
-    cap = max(1, _BLOCK_ROWS // k)
-    power, p, filled = step.T, 1, 1
-    while filled <= n_steps:
-        m = min(p, n_steps + 1 - filled)
-        src = filled - p
-        np.matmul(flat[k * src:k * (src + m)], power, out=flat[k * filled:k * (filled + m)])
-        filled += m
-        if p < cap and filled <= n_steps:
-            power = power @ power
-            p *= 2
-    return y
 
 
 def check_time_grid(horizon: float, n_steps: int,
@@ -551,41 +501,13 @@ def propagator_grid(
 ) -> PropagatorGrid:
     """Build the propagator family of a model on a uniform time grid."""
     dt, eps = check_time_grid(horizon, n_steps, eps)
+    if type(model) not in _FAMILY_OF_CLASS:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     times = np.linspace(0.0, horizon, n_steps + 1)
     on_grid = abs(eps - dt) <= 1e-12 * dt
-
-    if isinstance(model, PauliChannelModel):
-        def diagonal_ptm(ts):
-            return _diagonal_ptm(model.bloch_eigenvalues(ts), 0.0)
-    elif isinstance(model, AmplitudeDampingModel):
-        def diagonal_ptm(ts):
-            g = model.survival(ts)
-            return _diagonal_ptm(np.stack([g, g, g * g], axis=1), 1.0 - g * g)
-    elif isinstance(model, (CnotControlModel, SuperradianceModel)):
-        # Hermiticity preservation makes the generator real in this basis
-        gen = (_PAULI2.conj().T @ model.joint_generator() @ _PAULI2).real
-        # rho_env x sigma_n = sum_c r_c sigma_c x sigma_n / 2: column n has r
-        # at the rows of sigma_c x sigma_n; the partial trace keeps c = 0
-        r = np.array([1.0, *qmat.bloch_from_density(model.env_state())])[:, None]
-        if model.env_factor == 0:
-            cols, sel = np.kron(r, np.eye(4)), slice(0, 4)
-        else:
-            cols, sel = np.kron(np.eye(4), r), slice(0, 16, 4)
-        if not on_grid:
-            # E_{t+eps} = e^{G t} e^{G eps}: the shifted inputs ride along
-            cols = np.hstack([cols, expm(gen * eps) @ cols])
-        y = _propagate(expm(gen * dt), cols, n_steps)
-        ptm = np.ascontiguousarray(y[:, :4, sel].transpose(0, 2, 1))
-        shift = ptm[1:] if on_grid else np.ascontiguousarray(
-            y[:-1, 4:, sel].transpose(0, 2, 1))
-        # the covariance leaves exact zeros off the pattern of the axis: the
-        # generator and its products have those zeros
-        return PropagatorGrid(times, dt, eps, ptm, shift, model.axis, propagated=True)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    ptm = diagonal_ptm(times)
-    shift = ptm[1:] if on_grid else diagonal_ptm(times[:-1] + eps)
-    return PropagatorGrid(times, dt, eps, ptm, shift, model.axis)
+    ptm = model.transfer_matrices(times)
+    shift = ptm[1:] if on_grid else model.transfer_matrices(times[:-1] + eps)
+    return PropagatorGrid(times, dt, eps, ptm, shift, model.axis, model.conditioned)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-#: Lowering operator |0><1| in the convention that |1> is the excited state.
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
 # Columns are vec(I), vec(sigma_x), vec(sigma_y), vec(sigma_z).
 _PAULI_COLS = np.column_stack(
     [np.asarray(p).reshape(-1, order="F") for p in PAULIS]
@@ -66,12 +63,6 @@ def pauli_transfer_matrix(e: np.ndarray) -> np.ndarray:
     """
     e = np.asarray(e, dtype=complex)
     return 0.5 * (_PAULI_COLS.conj().T @ e @ _PAULI_COLS).real
-
-
-def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector ``(Tr(sigma_j rho))_j`` of a qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(s @ rho).real for s in PAULIS[1:]])
 
 
 def is_trace_preserving(e: np.ndarray, tol: float = config.DEFAULT.check) -> bool:

@@ -1,19 +1,39 @@
-"""Test oracles: the generic complement scan and the single-map toolbox.
+"""Test oracles: the generic complement scan, the single-map toolbox and the
+joint two-qubit dynamics of the composite models.
 
-The package scans grids of real Pauli transfer matrices in closed form about
-each family's covariance axis. The tests check it against the routes kept
-here: the generic scan, which inverts every transfer matrix by SVD and reads
-no axis, and single maps as 4x4 complex superoperators in the
-column-stacking convention of :mod:`kdivis.qmat`, propagated analytically
-or by fixed-step RK4.
+The package writes every model's maps in closed form and scans grids of real
+Pauli transfer matrices in closed form about each family's covariance axis.
+The tests check it against the routes kept here: the generic scan, which
+inverts every transfer matrix by SVD and reads no axis; single maps as 4x4
+complex superoperators in the column-stacking convention of
+:mod:`kdivis.qmat`, propagated analytically or by fixed-step RK4; and the
+composite models' 16x16 joint generators, whose reduced maps come from
+``expm`` or RK4 and a partial trace.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from kdivis import config, divisibility, models, qmat
-from kdivis.errors import IntegrationUnstable, NotHermitian
+
+
+class NotHermitian(Exception):
+    """A state failed its Hermiticity check."""
+
+
+class IntegrationUnstable(Exception):
+    """Halving the RK4 step changed the propagator beyond tolerance."""
+
+
+#: Hermiticity and trace deviation accepted of a state
+HERMITICITY = 1e-12
+#: change under step halving beyond which RK4 output is rejected
+INTEGRATION = 1e-6
+
+#: lowering operator |0><1| in the convention that |1> is the excited state
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +147,12 @@ def bloch_affine(e: np.ndarray):
     return f[..., 1:, 1:], f[..., 1:, 0]
 
 
+def bloch_from_density(rho: np.ndarray) -> np.ndarray:
+    """Bloch vector ``(Tr(sigma_j rho))_j`` of a qubit state."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.array([np.trace(s @ rho).real for s in qmat.PAULIS[1:]])
+
+
 def density_from_bloch(r) -> np.ndarray:
     """State ``(I + r . sigma) / 2`` from a Bloch vector with ``|r| <= 1``."""
     r = np.asarray(r, dtype=float)
@@ -140,10 +166,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > config.DEFAULT.hermiticity:
+    if herm > HERMITICITY:
         raise NotHermitian(f"state deviates from Hermitian by {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > config.DEFAULT.hermiticity:
+    if abs(tr - 1.0) > HERMITICITY:
         raise ValueError(f"state trace {tr} is not 1")
     lo = np.linalg.eigvalsh(rho)[0]
     if lo < -config.DEFAULT.check:
@@ -239,7 +265,7 @@ def propagate_rk4(gen_fn, t: float, steps: int, check: bool = False) -> np.ndarr
     if check:
         e_fine = _rk4(gen_fn, t, 2 * steps, eye)
         dev = np.abs(e_fine - e).max()
-        if dev > config.DEFAULT.integration:
+        if dev > INTEGRATION:
             raise IntegrationUnstable(
                 f"halving the step changed the propagator by {dev:.2e}")
         e = e_fine
@@ -304,8 +330,66 @@ def reduced_propagator(
         y_fine = _rk4(lambda _t: gen, t, 2 * steps, cols)
         dev = np.abs(_reduce_joint_columns(y_fine, which_env)
                      - _reduce_joint_columns(y, which_env)).max()
-        if dev > config.DEFAULT.integration:
+        if dev > INTEGRATION:
             raise IntegrationUnstable(
                 f"halving the step changed the reduced propagator by {dev:.2e}")
         y = y_fine
     return _reduce_joint_columns(y, which_env)
+
+
+# ---------------------------------------------------------------------------
+# Composite models as joint two-qubit dynamics
+# ---------------------------------------------------------------------------
+
+def cnot_generator(model: models.CnotControlModel) -> np.ndarray:
+    """Joint generator of a C-NOT model, built term by term from Kronecker
+    products with the control as the first factor: the C-NOT-type
+    interaction and the target's isotropic depolarizing."""
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    h = 0.5 * model.J * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY))
+    eye4 = np.eye(4, dtype=complex)
+    gen = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+    eye16 = np.eye(16, dtype=complex)
+    for s in qmat.PAULIS[1:]:
+        s_t = np.kron(qmat.IDENTITY, s)
+        gen += 0.5 * model.gamma * (np.kron(s_t.T, s_t) - eye16)
+    return gen
+
+
+def superradiance_generator(model: models.SuperradianceModel) -> np.ndarray:
+    """Joint generator of two atoms decaying into a common reservoir with the
+    rate matrix of ``model``, built term by term from Kronecker products."""
+    lowers = (np.kron(SIGMA_MINUS, qmat.IDENTITY), np.kron(qmat.IDENTITY, SIGMA_MINUS))
+    rates = model.rate_matrix()
+    eye4 = np.eye(4, dtype=complex)
+    gen = np.zeros((16, 16), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            raise_i = lowers[i].conj().T
+            pipj = raise_i @ lowers[j]
+            gen += rates[i, j] * (np.kron(raise_i.T, lowers[j])
+                                  - 0.5 * (np.kron(eye4, pipj) + np.kron(pipj.T, eye4)))
+    return gen
+
+
+def joint_dynamics(model) -> tuple[np.ndarray, np.ndarray, int]:
+    """The joint generator of a composite model, the initial state
+    ``diag(1 - a, a)`` of its environment qubit and the index of that
+    qubit's tensor factor: the first arguments of :func:`reduced_propagator`.
+    The environment is the control (factor 0) for C-NOT and the partner
+    atom (factor 1) for superradiance."""
+    env = np.diag([1.0 - model.a, model.a]).astype(complex)
+    if isinstance(model, models.CnotControlModel):
+        return cnot_generator(model), env, 0
+    if isinstance(model, models.SuperradianceModel):
+        return superradiance_generator(model), env, 1
+    raise TypeError(f"{type(model).__name__} has no joint dynamics")
+
+
+def reduced_expm(model, times) -> np.ndarray:
+    """Reduced superoperators of a composite model at each of ``times``, each
+    from one ``expm`` of the joint generator; shape ``(len(times), 4, 4)``."""
+    gen, env, which = joint_dynamics(model)
+    cols = _joint_basis_columns(env, which)
+    return _reduce_joint_columns(np.stack([expm(gen * t) @ cols for t in times]), which)

@@ -193,11 +193,9 @@ def test_criterion_7_oracle_equivalence():
                 exact = oracles.pauli_propagator_analytic(model, t)
                 assert np.abs(rk - exact).max() <= 1e-6, (g, t)
 
-        sr = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0)
-        gen = sr.joint_generator()
+        joint = oracles.joint_dynamics(models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0))
         for t in (0.5, 1.5, 3.0, 5.0):
-            reduced = oracles.reduced_propagator(
-                gen, sr.env_state(), sr.env_factor, t, steps=int(200 * t))
+            reduced = oracles.reduced_propagator(*joint, t, steps=int(200 * t))
             analytic = oracles.damping_superop(np.exp(-0.5 * t))
             assert np.abs(reduced - analytic).max() <= 1e-5, t
 

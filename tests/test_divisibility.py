@@ -417,24 +417,22 @@ def test_scan_fast_paths_agree_with_generic(rng):
         assert_allclose(fast.choi_trace_norm[ok], generic.choi_trace_norm[ok],
                         atol=1e-8)
         assert_allclose(fast.p_witness[ok], generic.p_witness[ok], atol=1e-8)
-    # a propagated grid takes the generic conditioning criterion on the
-    # closed form: the same singular steps and noise floors. Superradiance
-    # witnesses agree to rounding; the C-NOT yz blocks carry the rotation
-    # asymmetry of their propagation, so those agree within each step's floor
+    # a conditioned grid takes the generic conditioning criterion on the
+    # closed form: the same singular steps and noise floors, and witnesses
+    # that agree to rounding
     for draws, axis in ((_superradiance_draws, 3), (_cnot_draws, 1)):
         n_singular = 0
         for grid in draws(rng):
-            assert grid.axis == axis and grid.propagated
+            assert grid.axis == axis and grid.conditioned
             fast = divisibility.complement_scan(grid)
             generic = oracles.generic_scan(grid)
             assert np.array_equal(fast.singular, generic.singular)
             n_singular += int(generic.singular.sum())
             ok = ~generic.singular
-            floor = generic.noise_floor[ok]
-            assert_allclose(fast.noise_floor[ok], floor, rtol=1e-12, atol=0)
+            assert_allclose(fast.noise_floor[ok], generic.noise_floor[ok], rtol=1e-12, atol=0)
             for name in ("cp_witness", "p_witness", "choi_trace_norm"):
                 err = np.abs(getattr(fast, name)[ok] - getattr(generic, name)[ok])
-                assert (err <= (1e-12 if axis == 3 else floor)).all(), (name, err.max())
+                assert (err <= 1e-12).all(), (name, err.max())
         assert n_singular > 100
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import oracles
 from kdivis import config, models, qmat
-from kdivis.errors import IntegrationUnstable, QuadratureFailure
+from kdivis.errors import QuadratureFailure
 
 
 def _is_tp(e, tol=1e-8):
@@ -229,16 +228,17 @@ def test_ad_boundary_case_survival_finite():
 
 def test_cnot_zero_generator():
     model = models.CnotControlModel(J=0.0, gamma=0.0, a=0.3)
-    assert_allclose(model.joint_generator(), np.zeros((16, 16)), atol=1e-14)
+    gen, _, _ = oracles.joint_dynamics(model)
+    assert_allclose(gen, np.zeros((16, 16)), atol=1e-14)
 
 
 def test_superradiance_decoupled_at_pi():
     model = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.5)
     assert abs(model.cross_rate) < 1e-15
     # two independent decays
-    gen = model.joint_generator()
-    ops = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
-           np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
+    gen, _, _ = oracles.joint_dynamics(model)
+    ops = (np.kron(oracles.SIGMA_MINUS, qmat.IDENTITY),
+           np.kron(qmat.IDENTITY, oracles.SIGMA_MINUS))
     expected = np.zeros((16, 16), dtype=complex)
     eye4 = np.eye(4, dtype=complex)
     for op in ops:
@@ -262,7 +262,7 @@ def test_superradiance_rate_matrix_psd():
 def test_joint_generator_invariants(rng):
     for model in (models.CnotControlModel(1.0, 0.2, 0.4),
                   models.SuperradianceModel(1.0, 2.0, 0.6)):
-        gen = model.joint_generator()
+        gen, _, _ = oracles.joint_dynamics(model)
         assert _annihilates_trace(gen)
         # Hermiticity preservation, tested on random Hermitian inputs
         for _ in range(5):
@@ -270,45 +270,6 @@ def test_joint_generator_invariants(rng):
             h = g + g.conj().T
             out = (gen @ h.reshape(-1, order="F")).reshape(4, 4, order="F")
             assert np.abs(out - out.conj().T).max() < 1e-12
-
-
-def _kron_cnot_generator(J, gamma):
-    # the generator built term by term from Kronecker products
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    h = 0.5 * J * (np.kron(p1, qmat.SIGMA_X) + np.kron(p0, qmat.IDENTITY))
-    eye4 = np.eye(4, dtype=complex)
-    gen = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
-    eye16 = np.eye(16, dtype=complex)
-    for s in qmat.PAULIS[1:]:
-        s_t = np.kron(qmat.IDENTITY, s)
-        gen += 0.5 * gamma * (np.kron(s_t.T, s_t) - eye16)
-    return gen
-
-
-def _kron_superradiance_generator(model):
-    lowers = (np.kron(qmat.SIGMA_MINUS, qmat.IDENTITY),
-              np.kron(qmat.IDENTITY, qmat.SIGMA_MINUS))
-    rates = model.rate_matrix()
-    eye4 = np.eye(4, dtype=complex)
-    gen = np.zeros((16, 16), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            raise_i = lowers[i].conj().T
-            pipj = raise_i @ lowers[j]
-            gen += rates[i, j] * (np.kron(raise_i.T, lowers[j])
-                                  - 0.5 * (np.kron(eye4, pipj) + np.kron(pipj.T, eye4)))
-    return gen
-
-
-def test_joint_generator_matches_kronecker_construction(rng):
-    for _ in range(300):
-        J, gamma = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0)
-        model = models.CnotControlModel(J, gamma, rng.uniform())
-        assert np.array_equal(model.joint_generator(), _kron_cnot_generator(J, gamma))
-        model = models.SuperradianceModel(rng.uniform(0.01, 5.0), rng.uniform(0.01, 20.0),
-                                          rng.uniform())
-        assert np.array_equal(model.joint_generator(), _kron_superradiance_generator(model))
 
 
 def test_model_validation():
@@ -352,28 +313,25 @@ def test_rate_rejects_non_finite_constant():
 
 def test_reduced_propagator_identity_at_zero():
     model = models.CnotControlModel(1.0, 0.3, 0.5)
-    e = oracles.reduced_propagator(model.joint_generator(),
-                                   model.env_state(), model.env_factor, 0.0, 10)
+    e = oracles.reduced_propagator(*oracles.joint_dynamics(model), 0.0, 10)
     assert_allclose(e, np.eye(4), atol=1e-14)
 
 
 def test_reduced_propagator_cnot_ground_control_is_identity():
     # control in |0> applies the identity branch for all t
     model = models.CnotControlModel(J=1.3, gamma=0.0, a=0.0)
-    gen = model.joint_generator()
+    joint = oracles.joint_dynamics(model)
     for t in (0.7, 3.1, 8.0):
-        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                       t, steps=max(1, int(200 * t)))
+        e = oracles.reduced_propagator(*joint, t, steps=max(1, int(200 * t)))
         assert np.abs(e - np.eye(4)).max() < 1e-9
 
 
 def test_reduced_propagator_decoupled_superradiance_is_damping():
     # x = pi, ground-state environment: plain decay at rate gamma0
     model = models.SuperradianceModel(gamma0=1.0, x=np.pi, a=0.0)
-    gen = model.joint_generator()
+    joint = oracles.joint_dynamics(model)
     for t in (0.5, 2.0, 4.0):
-        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                       t, steps=int(400 * t))
+        e = oracles.reduced_propagator(*joint, t, steps=int(400 * t))
         expected = oracles.damping_superop(np.exp(-0.5 * t))
         assert np.abs(e - expected).max() < 1e-5
 
@@ -384,11 +342,10 @@ def test_superradiance_ground_env_is_time_dependent_damping():
     # e^{-g0 t/2} cosh(g12 t / 2), from the single-excitation amplitude pair
     # dA/dt = -1/2 [[g0, g12], [g12, g0]] A with A = (1, 0)
     model = models.SuperradianceModel(gamma0=1.0, x=2.0, a=0.0)
-    gen = model.joint_generator()
+    joint = oracles.joint_dynamics(model)
     g12 = model.cross_rate
     for t in (0.7, 2.1):
-        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                       t, steps=int(400 * t))
+        e = oracles.reduced_propagator(*joint, t, steps=int(400 * t))
         amp = np.exp(-0.5 * t) * np.cosh(0.5 * g12 * t)
         assert np.abs(e - oracles.damping_superop(amp)).max() < 1e-6
     # the amplitude decreases for every x, which is why the a=0 row is
@@ -402,10 +359,9 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
     # control fixed in |1>: the target rotates about x at angle J t while the
     # isotropic channel shrinks the whole Bloch ball by e^{-2 gamma t}
     model = models.CnotControlModel(J=1.3, gamma=0.2, a=1.0)
-    gen = model.joint_generator()
+    joint = oracles.joint_dynamics(model)
     for t in (0.9, 2.4):
-        e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                       t, steps=int(400 * t))
+        e = oracles.reduced_propagator(*joint, t, steps=int(400 * t))
         m, c = oracles.bloch_affine(e)
         angle = model.J * t
         shrink = np.exp(-2.0 * model.gamma * t)
@@ -418,9 +374,7 @@ def test_cnot_pure_excited_control_is_rotation_times_depolarizing():
 
 def test_reduced_propagator_is_linear_and_tp(rng):
     model = models.SuperradianceModel(gamma0=1.0, x=2.0, a=0.5)
-    gen = model.joint_generator()
-    e = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                   1.3, steps=260)
+    e = oracles.reduced_propagator(*oracles.joint_dynamics(model), 1.3, steps=260)
     assert _is_tp(e)
     coeffs = rng.normal(size=4)
     mix = sum(c * p for c, p in zip(coeffs, qmat.PAULIS))
@@ -430,20 +384,16 @@ def test_reduced_propagator_is_linear_and_tp(rng):
 
 
 def test_reduced_propagator_validates_env_state():
-    model = models.CnotControlModel(1.0, 0.1, 0.5)
+    gen, _, _ = oracles.joint_dynamics(models.CnotControlModel(1.0, 0.1, 0.5))
     with pytest.raises(ValueError):
-        oracles.reduced_propagator(model.joint_generator(), np.eye(2),
-                                   0, 1.0, 100)
+        oracles.reduced_propagator(gen, np.eye(2), 0, 1.0, 100)
 
 
 def test_step_halving_check_flags_coarse_integration():
-    model = models.CnotControlModel(J=10.0, gamma=0.0, a=1.0)
-    gen = model.joint_generator()
-    with pytest.raises(IntegrationUnstable):
-        oracles.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=3,
-                                   check=True)
-    e = oracles.reduced_propagator(gen, model.env_state(), 0, 2.0, steps=2000,
-                                   check=True)
+    joint = oracles.joint_dynamics(models.CnotControlModel(J=10.0, gamma=0.0, a=1.0))
+    with pytest.raises(oracles.IntegrationUnstable):
+        oracles.reduced_propagator(*joint, 2.0, steps=3, check=True)
+    e = oracles.reduced_propagator(*joint, 2.0, steps=2000, check=True)
     assert _is_tp(e)
 
 
@@ -490,36 +440,45 @@ def test_grid_matches_pointwise_constructions():
             oracles.amplitude_damping_propagator(ad, t)), atol=1e-12)
 
 
-def _expm_grid_ptm(model, times):
-    # pointwise e^{L t} on the joint columns, reduced and projected
-    gen = model.joint_generator()
-    cols = oracles._joint_basis_columns(model.env_state(), model.env_factor)
-    joint = np.stack([expm(gen * t) @ cols for t in times])
-    return qmat.pauli_transfer_matrix(oracles._reduce_joint_columns(joint, model.env_factor))
+def _expm_ptm(model, times):
+    return qmat.pauli_transfer_matrix(oracles.reduced_expm(model, times))
 
 
-def test_grid_composite_matches_reduced_propagator():
+def test_grid_composite_matches_reduced_propagator(rng):
     model = models.SuperradianceModel(gamma0=1.0, x=1.3, a=0.4)
     grid = models.propagator_grid(model, 2.0, 100)
-    gen = model.joint_generator()
+    joint = oracles.joint_dynamics(model)
     for i in (10, 50, 100):
         t = grid.times[i]
-        ref = oracles.reduced_propagator(gen, model.env_state(), model.env_factor,
-                                         t, steps=int(800 * t))
+        ref = oracles.reduced_propagator(*joint, t, steps=int(800 * t))
         assert np.abs(grid.ptm[i] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
-    # grids filled by doubling: the last block is partial on either side of
-    # a power of two, and an off-grid epsilon shifts every map
-    for model in (model, models.CnotControlModel(J=1.7, gamma=0.15, a=0.3)):
-        for n_steps in (2, 3, 7, 8, 9, 500):
-            msg = f"{type(model).__name__}, {n_steps} steps"
-            grid = models.propagator_grid(model, 2.0, n_steps)
-            assert_allclose(grid.ptm, _expm_grid_ptm(model, grid.times),
-                            rtol=0, atol=1e-12, err_msg=msg)
-            eps = 0.3 * grid.dt
-            off = models.propagator_grid(model, 2.0, n_steps, eps=eps)
-            assert_allclose(off.ptm, grid.ptm, rtol=0, atol=1e-12, err_msg=msg)
-            assert_allclose(off.ptm_shift, _expm_grid_ptm(model, grid.times[:-1] + eps),
-                            rtol=0, atol=1e-12, err_msg=msg)
+    # the closed forms against one expm of the joint generator per time, on
+    # and off grid: short grids, random draws, and the two edges of the
+    # superradiance form, gamma0 * horizon >= 1000 (where a form with growing
+    # exponentials overflows) and x <= 1e-8 (where the cross rate rounds to
+    # gamma0 and delta to zero)
+    cases = [(model, 2.0, n) for n in (2, 3, 9, 500)]
+    cases += [(models.CnotControlModel(J=1.7, gamma=0.15, a=0.3), 2.0, n) for n in (2, 3, 9, 500)]
+    cases += [(models.SuperradianceModel(5.0, 2.0, 0.7), 200.0, 400),
+              (models.SuperradianceModel(5.0, 1e-9, 0.6), 200.0, 400),
+              (models.SuperradianceModel(0.8, 1e-12, 1.0), 1500.0, 300),
+              (models.CnotControlModel(J=4.0, gamma=2.0, a=0.5), 300.0, 400)]
+    for _ in range(12):
+        cases.append((models.CnotControlModel(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0),
+                                              rng.uniform()),
+                      rng.uniform(0.5, 60.0), int(rng.integers(2, 200))))
+        cases.append((models.SuperradianceModel(rng.uniform(0.01, 5.0),
+                                                10.0 ** rng.uniform(-12.0, 1.3), rng.uniform()),
+                      rng.uniform(0.5, 300.0), int(rng.integers(2, 200))))
+    for model, horizon, n_steps in cases:
+        msg = f"{model}, horizon {horizon}, {n_steps} steps"
+        grid = models.propagator_grid(model, horizon, n_steps)
+        off = models.propagator_grid(model, horizon, n_steps, eps=rng.uniform(0.01, 1.0) * grid.dt)
+        assert np.isfinite(grid.ptm).all() and np.isfinite(off.ptm_shift).all(), msg
+        assert_allclose(grid.ptm, _expm_ptm(model, grid.times), rtol=0, atol=1e-12, err_msg=msg)
+        assert np.array_equal(off.ptm, grid.ptm), msg
+        assert_allclose(off.ptm_shift, _expm_ptm(model, grid.times[:-1] + off.eps),
+                        rtol=0, atol=1e-12, err_msg=msg)
 
 
 def test_grid_shift_off_grid_epsilon():
@@ -530,13 +489,12 @@ def test_grid_shift_off_grid_epsilon():
         oracles.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
     cn = models.CnotControlModel(1.0, 0.1, 0.5)
     grid = models.propagator_grid(cn, 2.0, 40, eps=0.01)
-    gen = cn.joint_generator()
-    ref = oracles.reduced_propagator(gen, cn.env_state(), cn.env_factor,
-                                     grid.times[8] + 0.01, steps=600)
+    ref = oracles.reduced_propagator(*oracles.joint_dynamics(cn), grid.times[8] + 0.01,
+                                     steps=600)
     assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
-def test_grid_maps_are_tp_and_hp_for_all_families(rng):
+def test_grid_maps_are_tp_and_hp_for_all_families():
     cases = [
         (models.PauliChannelModel.sine_eternal(), 6.0),
         (models.AmplitudeDampingModel(1.5, 1.0), 6.0),
@@ -550,25 +508,11 @@ def test_grid_maps_are_tp_and_hp_for_all_families(rng):
         assert_allclose(grid.ptm[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (121, 1)),
                         atol=1e-10, err_msg=type(model).__name__)
         if isinstance(model, (models.CnotControlModel, models.SuperradianceModel)):
-            # the real projection drops any anti-Hermitian part, so Hermiticity
-            # is checked on the reduced superoperators before it
-            cols = oracles._joint_basis_columns(model.env_state(), model.env_factor)
-            gen = model.joint_generator()
-            joint = np.stack([expm(gen * t) @ cols for t in grid.times[::24]])
-            for e in oracles._reduce_joint_columns(joint, model.env_factor):
+            # the reduced maps of the joint dynamics are trace and Hermiticity
+            # preserving
+            for e in oracles.reduced_expm(model, grid.times[::24]):
                 assert _is_tp(e), type(model).__name__
                 assert oracles.is_hermiticity_preserving(e, 1e-10)
-    # grids keep only the real part of the generator in the two-qubit Pauli
-    # basis; Hermiticity preservation makes the imaginary part vanish
-    p2 = np.stack([qmat.vec(np.kron(sa, sb)) / 2.0
-                   for sa in qmat.PAULIS for sb in qmat.PAULIS], axis=1)
-    for _ in range(50):
-        for model in (models.CnotControlModel(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 5.0),
-                                              rng.uniform()),
-                      models.SuperradianceModel(rng.uniform(0.01, 5.0),
-                                                rng.uniform(0.01, 20.0), rng.uniform())):
-            gen = model.joint_generator()
-            assert np.abs((p2.conj().T @ gen @ p2).imag).max() <= 1e-14 * np.abs(gen).max()
 
 
 def test_superradiance_grids_are_diagonal_affine(rng):
@@ -577,9 +521,8 @@ def test_superradiance_grids_are_diagonal_affine(rng):
 
     The joint dynamics is covariant under phase rotations about z, so the
     reduced maps are too; the cross-coupling is purely dissipative, with no
-    exchange Hamiltonian to rotate the transverse plane. In the real Pauli
-    basis these zeros are exact zeros of the generator, and neither ``expm``
-    nor the propagation products can fill them in."""
+    exchange Hamiltonian to rotate the transverse plane. The closed form
+    writes these zeros exactly."""
     off = np.ones((4, 4), dtype=bool)
     off[[0, 1, 2, 3, 3], [0, 1, 2, 3, 0]] = False
     for i in range(40):
@@ -599,9 +542,8 @@ def test_cnot_grids_are_x_covariant(rng):
 
     The control is diagonal, so the target sees a mixture of the identity
     and a rotation about x, both covariant about x, followed by isotropic
-    depolarizing, which is covariant about every axis. In the real Pauli
-    basis these zeros are exact zeros of the generator, and neither ``expm``
-    nor the propagation products can fill them in."""
+    depolarizing, which is covariant about every axis. The closed form
+    writes these zeros exactly."""
     off = np.ones((4, 4), dtype=bool)
     off[0, 0] = off[1, 1] = False
     off[2:, 2:] = False
@@ -617,14 +559,15 @@ def test_cnot_grids_are_x_covariant(rng):
             assert_allclose(ptm[:, 2, 3], -ptm[:, 3, 2], rtol=0, atol=1e-13)
 
 
-def test_only_composite_grids_are_propagated():
-    for model, propagated in (
+def test_only_composite_grids_are_conditioned():
+    for model, conditioned in (
             (models.PauliChannelModel.hall(), False),
             (models.AmplitudeDampingModel(2.0, 1.0), False),
             (models.CnotControlModel(1.0, 0.1, 0.5), True),
             (models.SuperradianceModel(1.0, 2.0, 0.5), True)):
-        grid = models.propagator_grid(model, 2.0, 20)
-        assert grid.propagated == propagated
+        assert type(model).conditioned == conditioned
+        for eps in (None, 0.05):
+            assert models.propagator_grid(model, 2.0, 20, eps).conditioned == conditioned
 
 
 def test_every_family_puts_its_covariance_axis_on_its_grids():
