@@ -10,9 +10,9 @@ one that passes only the positivity test PD1, anything else PD0.
 
 Steps where the propagator is not invertible under the active condition
 threshold are skipped and reported, never silently pseudo-inverted.
-:func:`complement_scan` reads a grid's real Pauli transfer matrices in closed
-form about the grid's covariance axis; it has one path, and it is the one
-kernel the classifier and the RHP measure use. :func:`is_cp` and
+:func:`complement_scan` reads a grid's diagonal Bloch rows in closed form;
+it has one path, and it is the one kernel the classifier and the RHP measure
+use. :func:`is_cp` and
 :func:`is_positive` test single superoperators and serve as its oracles, with
 the generic inversion scan of ``tests/oracles.py``.
 """
@@ -77,8 +77,8 @@ class ComplementScan:
 
     ``times`` holds the left endpoint of each complement step. Entries of
     the witness arrays are NaN where ``singular`` is set. Every grid is
-    scanned in closed form about its covariance axis; the generic inversion
-    scan of ``tests/oracles.py`` is its oracle. ``noise_floor`` is the
+    scanned in closed form from its Bloch rows; the generic inversion scan
+    of ``tests/oracles.py`` is its oracle. ``noise_floor`` is the
     per-step numerical trust limit: on a conditioned grid (the composite
     families) it scales with the condition number of the transfer matrices,
     as on the generic scan; on the Pauli and amplitude-damping grids it is
@@ -115,7 +115,7 @@ def is_cp(
 _NEWTON_MAX = 50
 
 
-def _p_witness(ptm: np.ndarray) -> np.ndarray:
+def _p_witness(f: np.ndarray) -> np.ndarray:
     """Positivity witness of stacked ``(n, 4, 4)`` transfer matrices.
 
     The pure input ``(I + u.sigma)/2`` has output trace ``F00 + F0.u`` and
@@ -134,8 +134,8 @@ def _p_witness(ptm: np.ndarray) -> np.ndarray:
     with ``w`` the remaining coordinates at ``nu = 0``. Every candidate is
     evaluated as a unit vector, so rounding can only lower the maximum.
     """
-    m = ptm[:, 1:, 1:]
-    c = ptm[:, 1:, 0]
+    m = f[:, 1:, 1:]
+    c = f[:, 1:, 0]
     lam, q = np.linalg.eigh(np.swapaxes(m, 1, 2) @ m)  # ascending: top is last
     mq = m @ q
     beta = (c[:, None, :] @ mq)[:, 0]
@@ -179,7 +179,7 @@ def _p_witness(ptm: np.ndarray) -> np.ndarray:
     cand[:, 2, :] += norm[:, 0, :] == 0.0
     out = mq @ cand + c[:, :, None]
     reach = np.sqrt((out * out).sum(axis=1)).max(axis=1)
-    return 0.5 * (ptm[:, 0, 0] - np.linalg.norm(ptm[:, 0, 1:], axis=1) - reach)
+    return 0.5 * (f[:, 0, 0] - np.linalg.norm(f[:, 0, 1:], axis=1) - reach)
 
 
 def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
@@ -206,44 +206,32 @@ def is_positive(l: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
 #: this multiplier turns that estimate into a trust limit
 _NOISE_FACTOR = 4.0
 
-#: per covariance axis, the cyclic (so proper) relabelling ``(i, j, a)`` that
-#: takes the axis ``a`` to z and the perpendicular plane to ``(x, y)``
-_CYCLIC = {1: (2, 3, 1), 2: (3, 1, 2), 3: (1, 2, 3)}
 
+def _cond(f: np.ndarray) -> np.ndarray:
+    """Condition numbers of the transfer matrices of stacked Bloch rows.
 
-def _covariant_cond(f: np.ndarray, a: int, perp: np.ndarray) -> np.ndarray:
-    """Condition numbers of stacked transfer matrices covariant about ``a``.
-
-    ``F`` splits into the block ``[[1, 0], [c_a, d_a]]`` and the
-    perpendicular block, whose singular values ``perp`` are ``|d_x|, |d_y|``
-    for a diagonal block and ``|z| = hypot(A, B)`` twice for a scaled
-    rotation ``[[A, -B], [B, A]]``. With ``s = 1 + c_a^2 + d_a^2`` the first
-    block has ``sigma_max^2 = (s + sqrt(s^2 - 4 d_a^2))/2`` and
-    ``sigma_min = |d_a|/sigma_max``; ``s^2 - 4 d_a^2`` is the product of
-    ``(1 -+ |d_a|)^2 + c_a^2``, so neither involves a cancellation.
+    ``F`` splits into ``|d_x|``, ``|d_y|`` and the z block
+    ``[[1, 0], [c_z, d_z]]``. With ``s = 1 + c_z^2 + d_z^2`` the z block has
+    ``sigma_max^2 = (s + sqrt(s^2 - 4 d_z^2))/2`` and
+    ``sigma_min = |d_z|/sigma_max``; ``s^2 - 4 d_z^2`` is the product of
+    ``(1 -+ |d_z|)^2 + c_z^2``, so neither involves a cancellation.
     """
-    d_a, c_a = np.abs(f[:, a, a]), f[:, a, 0]
-    root = np.hypot(1.0 - d_a, c_a) * np.hypot(1.0 + d_a, c_a)
-    s_max = np.sqrt(0.5 * (1.0 + c_a * c_a + d_a * d_a + root))
+    perp, d_z, c_z = np.abs(f[:, :2]), np.abs(f[:, 2]), f[:, 3]
+    root = np.hypot(1.0 - d_z, c_z) * np.hypot(1.0 + d_z, c_z)
+    s_max = np.sqrt(0.5 * (1.0 + c_z * c_z + d_z * d_z + root))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.maximum(s_max, perp.max(axis=1)) / np.minimum(d_a / s_max, perp.min(axis=1))
+        return np.maximum(s_max, perp.max(axis=1)) / np.minimum(d_z / s_max, perp.min(axis=1))
 
 
-def _scan_covariant(grid: models.PropagatorGrid):
-    """Closed-form witnesses of a grid covariant about ``grid.axis``.
+def _scan_rows(grid: models.PropagatorGrid):
+    """Closed-form witnesses of a grid of Bloch rows.
 
-    A cyclic relabelling takes the axis to z; it is a proper rotation, a
-    unitary conjugation, which leaves the Choi spectrum, the output spectrum
-    and the trace norm unchanged (Ruskai, Szarek & Werner 2002). The
-    complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
+    The complement of ``r -> diag(d) r + c_z z`` is exact from ratios:
     ``mu = d(t+eps)/d(t)`` and ``c = c_z(t+eps) - mu_3 c_z(t)``, which avoids
-    the ill-conditioned inversion near zeros of the propagator. A
-    perpendicular block that is a scaled rotation ``[[A, -B], [B, A]]``
-    composes as ``z = A + iB``; its complement is the rotation by the
-    complex ratio ``w = z(t+eps)/z(t)``, which a rotation about z takes to
-    ``mu_1 = mu_2 = |w|``. The Choi matrix of the complement has two 2x2
-    blocks with eigenvalues ``((1 + mu_3) +- sqrt(c^2 + (mu_1 + mu_2)^2))/4``
-    and ``((1 - mu_3) +- sqrt(c^2 + (mu_1 - mu_2)^2))/4``. With
+    the ill-conditioned inversion near zeros of the propagator. The Choi
+    matrix of the complement has two 2x2 blocks with eigenvalues
+    ``((1 + mu_3) +- sqrt(c^2 + (mu_1 + mu_2)^2))/4`` and
+    ``((1 - mu_3) +- sqrt(c^2 + (mu_1 - mu_2)^2))/4``. With
     ``m = max(mu_1^2, mu_2^2)``, the squared output Bloch length over the
     unit sphere peaks at ``f(u_z) = m (1 - u_z^2) + (mu_3 u_z + c)^2``: at a
     pole, ``(|mu_3| + |c|)^2``, or at the vertex ``m + c^2 m / (m - mu_3^2)``
@@ -255,23 +243,15 @@ def _scan_covariant(grid: models.PropagatorGrid):
     generic scan's criterion, ``cond(F_t)`` against
     ``config.DEFAULT.cond_threshold``, and its noise floor.
     """
-    i, j, a = _CYCLIC[grid.axis]
-    axes = np.array((i, j, a))
-    f, f_eps = grid.ptm[:-1], grid.ptm_shift
-    d_t = f[:, axes, axes]
+    f, f_eps = grid.bloch[:-1], grid.bloch_shift
+    d_t = f[:, :3]
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = f_eps[:, axes, axes] / d_t
-        if np.count_nonzero(f[:, j, i]) or np.count_nonzero(f_eps[:, j, i]):
-            # a nonzero B marks a rotating block [[A, -B], [B, A]]; d_t keeps
-            # its singular values, |z| twice, as it keeps a diagonal block's
-            z, z_eps = (np.hypot(g[:, i, i], g[:, j, i]) for g in (f, f_eps))
-            mu[:, :2] = (z_eps / z)[:, None]
-            d_t[:, :2] = z[:, None]
-        c = f_eps[:, a, 0] - mu[:, 2] * f[:, a, 0]
+        mu = f_eps[:, :3] / d_t
+        c = f_eps[:, 3] - mu[:, 2] * f[:, 3]
     singular = (~np.isfinite(mu) | (np.abs(d_t) < 1e-300)).any(axis=1) | ~np.isfinite(c)
     noise = np.zeros(len(d_t))
     if grid.conditioned:
-        cond = _covariant_cond(f, a, np.abs(d_t[:, :2]))
+        cond = _cond(f)
         singular |= ~np.isfinite(cond) | (cond > config.DEFAULT.cond_threshold)
         noise = _NOISE_FACTOR * np.finfo(float).eps * np.where(singular, np.inf, cond)
     mu[singular], c[singular] = 1.0, 0.0  # finite placeholders, masked later
@@ -294,7 +274,7 @@ def _scan_covariant(grid: models.PropagatorGrid):
 
 def complement_scan(grid: models.PropagatorGrid) -> ComplementScan:
     """Witnesses of every complement step of a propagator grid."""
-    cp, p, trace_norm, singular, noise = _scan_covariant(grid)
+    cp, p, trace_norm, singular, noise = _scan_rows(grid)
     for w in (cp, p, trace_norm):
         w[singular] = np.nan
     return ComplementScan(grid.times[:-1], grid.eps, grid.dt,

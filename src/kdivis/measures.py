@@ -3,10 +3,9 @@
 The BLP measure accumulates every increase of the trace distance between an
 evolved pair of states, maximized over a deterministic family of antipodal
 pure pairs. For the pair along ``u`` the distance is ``|M_t u|``, read from
-the Gram matrix of the Bloch part of the propagator as
-``sqrt(max(u^T M_t^T M_t u, 0))``. One kernel serves every model family; it
-walks time in blocks whose temporaries stay within 64 KiB, so a call reuses
-heap memory instead of page-faulting fresh mappings.
+the grid's Bloch rows as ``sqrt(sum_k d_k^2 u_k^2)``. One kernel serves every
+model family; it walks time in blocks whose temporaries stay within 64 KiB,
+so a call reuses heap memory instead of page-faulting fresh mappings.
 
 The RHP measure integrates the trace-norm excess of the complement map's
 Choi matrix,
@@ -42,7 +41,7 @@ __all__ = [
 class BlpResult:
     """BLP measure of one grid, with the per-step rates derived on demand.
 
-    The result keeps the ``(n_steps + 1, 6)`` Gram rows of the propagators
+    The result keeps the ``(n_steps + 1, 3)`` Gram rows of the propagators
     rather than the ``(n_steps, n_pairs)`` rate series, so callers that read
     only ``measure`` never build the series.
     """
@@ -53,8 +52,8 @@ class BlpResult:
     dt: float
     #: sampled antipodal pair directions, shape (n_pairs, 3), read-only
     directions: np.ndarray
-    #: upper triangle (xx, xy, xz, yy, yz, zz) of M_t^T M_t per grid time,
-    #: shape (n_steps + 1, 6)
+    #: diagonal (d_x^2, d_y^2, d_z^2) of M_t^T M_t per grid time,
+    #: shape (n_steps + 1, 3)
     gram: np.ndarray
     #: max over pairs of the summed positive trace-distance increments
     measure: float
@@ -85,15 +84,11 @@ class RhpResult:
 #: are not mapped and page-faulted afresh on every call
 _BLOCK_ELEMS = 8192
 
-#: row and column of each Gram entry, in the order of the pair weights
-_GRAM_ROW, _GRAM_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
-
 
 def _gram_weights(dirs: np.ndarray) -> np.ndarray:
-    """Weights ``(x², 2xy, 2xz, y², 2yz, z²)`` per direction, shape (6, n),
-    so that ``gram @ weights`` is ``|M u|²`` for every direction ``u``."""
-    x, y, z = dirs.T
-    return np.stack([x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z])
+    """Weights ``(x², y², z²)`` per direction, shape (3, n), so that
+    ``gram @ weights`` is ``|M u|²`` for every direction ``u``."""
+    return np.ascontiguousarray(dirs.T ** 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -106,12 +101,9 @@ def _pair_directions(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_distances(gram: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """Trace distances ``sqrt(max(G_t · w_u, 0))`` of every pair, into ``out``.
-
-    The clip absorbs rounding that leaves ``|M u|²`` just below zero when
-    ``M u`` nearly vanishes."""
+    """Trace distances ``sqrt(G_t · w_u)`` of every pair, into ``out``; sums
+    of squares times squares, never negative."""
     np.matmul(gram, weights, out=out)
-    np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
 
 
@@ -119,14 +111,14 @@ def blp_from_grid(grid: models.PropagatorGrid, n_pairs: int) -> BlpResult:
     """BLP data from precomputed propagators.
 
     For an antipodal pure pair along ``u`` the evolved trace distance equals
-    the Euclidean length of the evolved Bloch difference, ``|M_t u|``.
+    the Euclidean length of the evolved Bloch difference, ``|M_t u|``; the
+    rows' ``M_t = diag(d)`` has the Gram diagonal ``d * d``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     dirs, weights = _pair_directions(n_pairs)
-    m = grid.ptm[:, 1:, 1:]
-    # (M^T M)_ij = sum_k M_ki M_kj, as elementwise products over the grid
-    gram = sum(m[:, k, _GRAM_ROW] * m[:, k, _GRAM_COL] for k in range(3))
+    d = grid.bloch[:, :3]
+    gram = d * d
     rows = max(1, _BLOCK_ELEMS // n_pairs - 1)
     # row 0 of dist carries the last distance of the previous block; row 0
     # of inc carries the running sum, so the increments add up in time

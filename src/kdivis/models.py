@@ -1,8 +1,8 @@
 """The four qubit dynamics families and their time-local propagators.
 
 Every model produces a family of qubit maps ``E_t``, held on time grids
-(:class:`PropagatorGrid`) as the real Pauli transfer matrices that the
-divisibility scan and the measures work on:
+(:class:`PropagatorGrid`) as the diagonal Bloch rows that the divisibility
+scan and the measures work on:
 
 * :class:`PauliChannelModel` -- dephasing along the three Pauli axes with
   time-dependent rates; solved in closed form in the Pauli eigenbasis.
@@ -21,18 +21,20 @@ Each model class carries its family tag. :data:`MODEL_FAMILIES`, built once
 from the dataclass fields, is the one table of parameters that configs, flags
 and sweeps are checked against and models are built from.
 
-Every family has a closed-form propagator, written directly as a stack of
-transfer matrices: the Pauli and amplitude-damping maps from their rate
-integrals and survival amplitude, the C-NOT target as a depolarized mixture
-of the identity and a rotation about x, and the superradiant atom as sums of
-exponentials in ``gamma0 +- gamma12`` (Ficek & Tanas 2002). Each model class
-declares the axis its maps are covariant about: z for the diagonal-affine
-Pauli, amplitude-damping and superradiance maps, x for the C-NOT maps, whose
-yz block is a scaled rotation. Every grid takes the one closed-form
-complement scan about its axis; the composite classes also declare that
-their grids take the conditioning criterion. The joint two-qubit generators,
-the single-map superoperator and RK4 routes and the generic inversion scan
-are test oracles in ``tests/oracles.py``.
+Every family has a closed-form propagator, ``model.bloch_form(times)``: the
+Pauli and amplitude-damping maps from their rate integrals and survival
+amplitude, the C-NOT target as a depolarized mixture of the identity and a
+rotation about x, and the superradiant atom as sums of exponentials in
+``gamma0 +- gamma12`` (Ficek & Tanas 2002). Each row ``(d_x, d_y, d_z, c_z)``
+is the Bloch-affine map ``r -> diag(d) r + (0, 0, c_z)``: ``E_t`` itself for
+the Pauli, amplitude-damping and superradiance families, and ``E_t`` without
+its rotation of the yz plane about x for C-NOT. That unitary changes neither
+the witnesses of a complement step nor the trace distances BLP reads
+(Ruskai, Szarek & Werner 2002). The composite classes declare that their
+grids take the conditioning criterion.
+The full transfer matrices, the joint two-qubit generators, the single-map
+superoperator and RK4 routes and the generic inversion scan are test oracles
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -179,16 +181,6 @@ def _check_finite(model, *attrs: str) -> None:
             raise ValueError(f"{_PARAM_NAMES.get(attr, attr)} must be finite, got {val}")
 
 
-def _diagonal_ptm(d: np.ndarray, c_z) -> np.ndarray:
-    """Stacked transfer matrices of the maps ``r -> diag(d) r + (0, 0, c_z)``."""
-    out = np.zeros((len(d), 4, 4))
-    out[:, 0, 0] = 1.0
-    out[:, 3, 0] = c_z
-    axes = np.arange(1, 4)
-    out[:, axes, axes] = d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pauli channel
 # ---------------------------------------------------------------------------
@@ -198,9 +190,6 @@ class PauliChannelModel:
     """``drho/dt = 1/2 sum_j g_j(t) (sigma_j rho sigma_j - rho)``."""
 
     family = "pauli"
-    #: Pauli index (1, 2, 3 for x, y, z) of the grids' covariance axis, read
-    #: by :func:`propagator_grid`; diagonal maps take z
-    axis = 3
     #: whether the grids take the conditioning criterion of the scan (see
     #: :class:`PropagatorGrid`); products of exponentials need none
     conditioned = False
@@ -245,10 +234,11 @@ class PauliChannelModel:
             lam[:, j] = np.exp(-(gam[:, k] + gam[:, l]))
         return lam
 
-    def transfer_matrices(self, times) -> np.ndarray:
-        """Transfer matrices of ``E_t`` on a sorted time grid, stacked as
-        ``(len(times), 4, 4)``."""
-        return _diagonal_ptm(self.bloch_eigenvalues(times), 0.0)
+    def bloch_form(self, times) -> np.ndarray:
+        """Bloch rows ``(d_x, d_y, d_z, c_z)`` of ``E_t`` on a sorted time
+        grid, shape ``(len(times), 4)``: the eigenvalues and no offset."""
+        lam = self.bloch_eigenvalues(times)
+        return np.column_stack([lam, np.zeros(len(lam))])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +259,6 @@ class AmplitudeDampingModel:
     """
 
     family = "ad"
-    axis = 3
     conditioned = False
 
     gamma0: float
@@ -319,10 +308,10 @@ class AmplitudeDampingModel:
         dabs = abs(self._d)
         return 2.0 * (np.pi - np.arctan(dabs / self.lam)) / dabs
 
-    def transfer_matrices(self, times) -> np.ndarray:
-        """Transfer matrices of ``E_t``: ``d = (G, G, G^2)``, ``c_z = 1 - G^2``."""
+    def bloch_form(self, times) -> np.ndarray:
+        """Bloch rows of ``E_t``: ``d = (G, G, G^2)``, ``c_z = 1 - G^2``."""
         g = self.survival(times)
-        return _diagonal_ptm(np.stack([g, g, g * g], axis=1), 1.0 - g * g)
+        return np.stack([g, g, g * g, 1.0 - g * g], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +329,6 @@ class CnotControlModel:
     """
 
     family = "cnot"
-    #: a control-diagonal mixture of rotations about x, then isotropic
-    #: depolarizing: covariant about x
-    axis = 1
     #: the yz entries sum terms of either sign, so the scan trusts them only
     #: up to ``macheps * cond(F)``
     conditioned = True
@@ -358,19 +344,22 @@ class CnotControlModel:
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
 
-    def transfer_matrices(self, times) -> np.ndarray:
-        """Transfer matrices of ``E_t``: depolarizing shrinks the Bloch ball by
-        ``e^{-2 gamma t}``, and the yz block is that times
-        ``(1 - a) I + a R_x(J t)``, the control-weighted mixture."""
+    def bloch_form(self, times) -> np.ndarray:
+        """Bloch rows ``(shrink, |z|, |z|, 0)`` of ``E_t``.
+
+        Depolarizing shrinks the Bloch ball by ``shrink = e^{-2 gamma t}``,
+        and the yz block is that times ``(1 - a) I + a R_x(J t)``, the
+        control-weighted mixture: the scaled rotation ``[[A, -B], [B, A]]``,
+        ``z = A + iB``. It commutes with the x part, so ``E_t`` is the
+        rotation about x by ``arg z`` after ``diag(shrink, |z|, |z|)``, and
+        the rows drop the rotation.
+        """
         times = np.asarray(times, dtype=float)
         shrink = np.exp(-2.0 * self.gamma * times)
         jt = self.J * times
-        rot_a = shrink * (1.0 - self.a + self.a * np.cos(jt))
-        rot_b = shrink * self.a * np.sin(jt)
-        out = _diagonal_ptm(np.stack([shrink, rot_a, rot_a], axis=1), 0.0)
-        out[:, 3, 2] = rot_b
-        out[:, 2, 3] = -rot_b
-        return out
+        z = np.hypot(shrink * (1.0 - self.a + self.a * np.cos(jt)),
+                     shrink * self.a * np.sin(jt))
+        return np.stack([shrink, z, z, np.zeros_like(z)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -385,8 +374,6 @@ class SuperradianceModel:
     """
 
     family = "superradiance"
-    #: phase covariant about z
-    axis = 3
     #: ``d_z`` sums terms of either sign and can cross zero, so the scan
     #: trusts the entries only up to ``macheps * cond(F)``
     conditioned = True
@@ -412,8 +399,8 @@ class SuperradianceModel:
         g12 = self.cross_rate
         return np.array([[self.gamma0, g12], [g12, self.gamma0]])
 
-    def transfer_matrices(self, times) -> np.ndarray:
-        """Transfer matrices of ``E_t``, sums of exponentials in the decay
+    def bloch_form(self, times) -> np.ndarray:
+        """Bloch rows of ``E_t``, sums of exponentials in the decay
         rates ``sigma, delta = gamma0 +- g`` of the symmetric and antisymmetric
         states, with ``g`` the cross rate.
 
@@ -434,8 +421,7 @@ class SuperradianceModel:
         d_z = 0.25 * (p + q) ** 2 + a * g * (np.exp(-sigma * times) * rise
                                              + np.exp(-delta * times)
                                              * np.expm1(-sigma * times) / sigma)
-        return _diagonal_ptm(np.stack([d_xy, d_xy, d_z], axis=1),
-                             1.0 - d_z - 0.5 * a * (p - q) ** 2)
+        return np.stack([d_xy, d_xy, d_z, 1.0 - d_z - 0.5 * a * (p - q) ** 2], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,35 +431,24 @@ class SuperradianceModel:
 @dataclass(frozen=True)
 class PropagatorGrid:
     """Propagators ``E_{t_i}`` on a uniform grid plus the shifted maps
-    ``E_{t_i + eps}`` needed for two-point complement steps, as real Pauli
-    transfer matrices ``F_mn = Tr(sigma_m E(sigma_n))/2``: ``F[1:, 1:]`` and
-    ``F[1:, 0]`` are the Bloch-affine form ``r -> M r + c``.
-
-    ``axis`` is the Pauli index (1, 2, 3 for x, y, z) of the axis every map
-    of the grid is covariant about; every family declares one. About
-    axis ``a`` the Bloch form splits into ``r_a -> d_a r_a + c_a`` and a 2x2
-    block on the perpendicular plane, with exact zeros elsewhere. The block
-    is diagonal (Pauli, amplitude-damping and superradiance families, all
-    about z) or a scaled rotation ``[[A, -B], [B, A]]`` (C-NOT, about x), so
-    the complements follow exactly from ratios instead of matrix inversion.
-    Every family writes its maps in closed form. ``conditioned`` is the
-    model class's flag of the same name: the composite maps sum terms of
-    either sign, so near a zero of an entry their rounding is of order
-    ``macheps * cond(F)``, and the scan takes the conditioning criterion and
-    noise floor of a generic inversion on them.
+    ``E_{t_i + eps}`` needed for two-point complement steps, as Bloch rows
+    ``(d_x, d_y, d_z, c_z)`` of shape ``(n, 4)``: the trace-preserving map
+    ``r -> diag(d) r + (0, 0, c_z)``, exact up to a rotation of the C-NOT
+    maps about x that no witness or trace distance sees (see
+    :mod:`kdivis.models`). A complement then follows exactly from ratios
+    instead of matrix inversion. ``conditioned`` is the model class's flag
+    of the same name: the composite maps sum terms of either sign, so near a
+    zero of an entry their rounding is of order ``macheps * cond(F)``, and
+    the scan takes the conditioning criterion and noise floor of a generic
+    inversion on them.
     """
 
     times: np.ndarray
     dt: float
     eps: float
-    ptm: np.ndarray
-    ptm_shift: np.ndarray
-    axis: int
+    bloch: np.ndarray
+    bloch_shift: np.ndarray
     conditioned: bool = False
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
 
 def check_time_grid(horizon: float, n_steps: int,
@@ -505,9 +480,9 @@ def propagator_grid(
         raise TypeError(f"unsupported model type {type(model).__name__}")
     times = np.linspace(0.0, horizon, n_steps + 1)
     on_grid = abs(eps - dt) <= 1e-12 * dt
-    ptm = model.transfer_matrices(times)
-    shift = ptm[1:] if on_grid else model.transfer_matrices(times[:-1] + eps)
-    return PropagatorGrid(times, dt, eps, ptm, shift, model.axis, model.conditioned)
+    bloch = model.bloch_form(times)
+    shift = bloch[1:] if on_grid else model.bloch_form(times[:-1] + eps)
+    return PropagatorGrid(times, dt, eps, bloch, shift, model.conditioned)
 
 
 # ---------------------------------------------------------------------------

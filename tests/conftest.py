@@ -27,18 +27,26 @@ def random_cptp_map(rng):
     return oracles.superop_from_kraus(kraus)
 
 
-def one_step_grid(e_t, e_te, epsilon=1.0):
-    """Propagator grid holding one complement step, from the superoperator
-    ``e_t`` to ``e_te`` a step ``epsilon`` later, covariant about z.
-
-    :func:`~kdivis.divisibility.complement_scan` takes the closed form about
-    z, which reads only the diagonal and the z offset of the transfer
-    matrices, so for it both maps must be diagonal-affine;
-    :func:`oracles.generic_scan` reads no axis and takes any pair.
-    """
+def one_step_maps(e_t, e_te, epsilon=1.0):
+    """Full transfer matrices of one complement step, from the superoperator
+    ``e_t`` to ``e_te`` a step ``epsilon`` later, for
+    :func:`oracles.generic_scan`; takes any pair."""
     ptm = qmat.pauli_transfer_matrix(np.array([e_t, e_te]))
-    return models.PropagatorGrid(times=np.array([0.0, epsilon]), dt=epsilon, eps=epsilon,
-                                 ptm=ptm, ptm_shift=ptm[1:], axis=3)
+    return oracles.FullGrid(np.array([0.0, epsilon]), epsilon, epsilon, ptm, ptm[1:])
+
+
+def one_step_grid(e_t, e_te, epsilon=1.0):
+    """Propagator grid holding the one complement step of
+    :func:`one_step_maps`, for :func:`~kdivis.divisibility.complement_scan`.
+
+    A grid holds Bloch rows, so both maps must be trace preserving and
+    diagonal-affine about z: anything else raises ``ValueError`` rather than
+    losing its entries off that pattern.
+    """
+    full = one_step_maps(e_t, e_te, epsilon)
+    rows = oracles.bloch_rows(full.ptm)
+    return models.PropagatorGrid(times=full.times, dt=epsilon, eps=epsilon,
+                                 bloch=rows, bloch_shift=rows[1:])
 
 
 def random_density_matrix(rng):

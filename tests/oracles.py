@@ -1,17 +1,20 @@
-"""Test oracles: the generic complement scan, the single-map toolbox and the
-joint two-qubit dynamics of the composite models.
+"""Test oracles: full transfer matrices, the generic complement scan, the
+single-map toolbox and the joint two-qubit dynamics of the composite models.
 
-The package writes every model's maps in closed form and scans grids of real
-Pauli transfer matrices in closed form about each family's covariance axis.
-The tests check it against the routes kept here: the generic scan, which
-inverts every transfer matrix by SVD and reads no axis; single maps as 4x4
-complex superoperators in the column-stacking convention of
-:mod:`kdivis.qmat`, propagated analytically or by fixed-step RK4; and the
-composite models' 16x16 joint generators, whose reduced maps come from
-``expm`` or RK4 and a partial trace.
+The package writes every model's maps in closed form as diagonal Bloch rows
+``(d_x, d_y, d_z, c_z)`` and scans them in closed form. The tests check it
+against the routes kept here: full 4x4 real Pauli transfer matrices, with
+the rotation of the C-NOT maps that the rows drop; the generic scan, which
+inverts every full transfer matrix by SVD; single maps as 4x4 complex
+superoperators in the column-stacking convention of :mod:`kdivis.qmat`,
+propagated analytically or by fixed-step RK4; and the composite models'
+16x16 joint generators, whose reduced maps come from ``expm`` or RK4 and a
+partial trace.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,16 +40,91 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
+# Full transfer matrices
+# ---------------------------------------------------------------------------
+
+#: positions of the Bloch diagonal ``(d_x, d_y, d_z)`` and of ``c_z`` in a
+#: transfer matrix ``F_mn = Tr(sigma_m E(sigma_n))/2``
+_ROWS_AT = (np.array([1, 2, 3, 3]), np.array([1, 2, 3, 0]))
+
+
+def embed(rows) -> np.ndarray:
+    """Transfer matrices of the maps ``r -> diag(d) r + (0, 0, c_z)`` given
+    as Bloch rows ``(d_x, d_y, d_z, c_z)``; shape ``(..., 4, 4)``."""
+    rows = np.asarray(rows, dtype=float)
+    out = np.zeros(rows.shape[:-1] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., _ROWS_AT[0], _ROWS_AT[1]] = rows
+    return out
+
+
+def bloch_rows(f, atol: float = 1e-14) -> np.ndarray:
+    """Inverse of :func:`embed`: the Bloch rows of transfer matrices
+    ``(..., 4, 4)``. Raises ``ValueError`` when a map is not diagonal-affine
+    about z, trace preserving included, to within ``atol``; the default
+    admits the rounding of :func:`kdivis.qmat.pauli_transfer_matrix`."""
+    f = np.asarray(f, dtype=float)
+    rows = f[..., _ROWS_AT[0], _ROWS_AT[1]]
+    dev = np.abs(f - embed(rows)).max(initial=0.0)
+    if dev > atol:
+        raise ValueError(f"not a diagonal-affine map about z: an entry off the "
+                         f"pattern is {dev:.3e}")
+    return rows
+
+
+def transfer_matrices(model, times) -> np.ndarray:
+    """Full transfer matrices of a model's maps ``E_t`` at ``times``, shape
+    ``(len(times), 4, 4)``.
+
+    The C-NOT yz block is the scaled rotation ``[[A, -B], [B, A]]``,
+    ``A = shrink (1 - a + a cos Jt)`` and ``B = shrink a sin Jt``, whose
+    rotation the model's Bloch rows drop; the other families' maps are their
+    rows.
+    """
+    if not isinstance(model, models.CnotControlModel):
+        return embed(model.bloch_form(times))
+    times = np.asarray(times, dtype=float)
+    shrink = np.exp(-2.0 * model.gamma * times)
+    jt = model.J * times
+    rot_a = shrink * (1.0 - model.a + model.a * np.cos(jt))
+    rot_b = shrink * model.a * np.sin(jt)
+    out = embed(np.stack([shrink, rot_a, rot_a, np.zeros_like(shrink)], axis=1))
+    out[:, 3, 2] = rot_b
+    out[:, 2, 3] = -rot_b
+    return out
+
+
+class FullGrid(NamedTuple):
+    """The maps of a propagator grid as full transfer matrices: ``ptm`` at
+    the grid times and ``ptm_shift`` a complement step ``eps`` later."""
+
+    times: np.ndarray
+    dt: float
+    eps: float
+    ptm: np.ndarray
+    ptm_shift: np.ndarray
+
+
+def full_grid(model, grid: models.PropagatorGrid, maps=transfer_matrices) -> FullGrid:
+    """The maps of ``model`` at the times of its propagator grid ``grid``,
+    as full transfer matrices from ``maps(model, times)``."""
+    ptm = maps(model, grid.times)
+    shift = ptm[1:] if grid.eps == grid.dt else maps(model, grid.times[:-1] + grid.eps)
+    return FullGrid(grid.times, grid.dt, grid.eps, ptm, shift)
+
+
+# ---------------------------------------------------------------------------
 # Generic complement scan
 # ---------------------------------------------------------------------------
 
 def generic_scan(
-    grid: models.PropagatorGrid,
+    grid: FullGrid,
     cond_threshold: float = config.DEFAULT.cond_threshold,
 ) -> divisibility.ComplementScan:
-    """Witnesses of every complement step ``L = F(t+eps) F(t)^-1`` of a grid,
-    inverting ``F(t)`` by SVD; steps with ``cond(F(t))`` above
-    ``cond_threshold`` are singular, with NaN witnesses."""
+    """Witnesses of every complement step ``L = F(t+eps) F(t)^-1`` of a grid
+    of full transfer matrices, inverting ``F(t)`` by SVD; steps with
+    ``cond(F(t))`` above ``cond_threshold`` are singular, with NaN
+    witnesses."""
     # the transfer matrix is a unitary change of basis of the superoperator,
     # so it has the same singular values and condition number
     u_svd, s, vh = np.linalg.svd(grid.ptm[:-1])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import one_step_grid, random_cptp_map, random_hp_tp_map
+from conftest import one_step_grid, one_step_maps, random_cptp_map, random_hp_tp_map
 import oracles
 from kdivis import config, divisibility, models, qmat
 from kdivis.divisibility import DivisibilityClass
@@ -26,9 +26,10 @@ def _transpose_superop():
 # ---------------------------------------------------------------------------
 
 def _scans(e_t, e_te, epsilon=1.0):
-    """Scans of the one-step grid on the closed form and on the generic scan."""
-    grid = one_step_grid(e_t, e_te, epsilon)
-    return [divisibility.complement_scan(grid), oracles.generic_scan(grid)]
+    """Scans of the one complement step on the closed form and on the
+    generic scan."""
+    return [divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon)),
+            oracles.generic_scan(one_step_maps(e_t, e_te, epsilon))]
 
 
 def _assert_scan_matches_map(scan, lam, atol):
@@ -87,7 +88,7 @@ def test_complement_satisfies_defining_identity(rng):
     for k in range(40):
         e_t = random_cptp_map(rng) if k % 2 else random_hp_tp_map(rng)
         e_te = random_cptp_map(rng) if k % 4 < 2 else random_hp_tp_map(rng)
-        scan = oracles.generic_scan(one_step_grid(e_t, e_te, 0.1))
+        scan = oracles.generic_scan(one_step_maps(e_t, e_te, 0.1))
         cond = np.linalg.cond(e_t)
         if scan.singular[0]:
             assert cond > config.DEFAULT.cond_threshold
@@ -379,8 +380,8 @@ def test_cp_divisible_models_have_clean_scans():
 
 
 def _superradiance_draws(rng):
-    """Random superradiance grids, on- and off-grid epsilon; the long
-    strongly damped ones decay past the condition threshold."""
+    """Random superradiance models and grids, on- and off-grid epsilon; the
+    long strongly damped ones decay past the condition threshold."""
     for i in range(40):
         deep = i % 4 == 0
         gamma0 = rng.uniform(2.0, 5.0) if deep else rng.uniform(0.01, 5.0)
@@ -388,12 +389,12 @@ def _superradiance_draws(rng):
         horizon = rng.uniform(20.0, 40.0) if deep else rng.uniform(0.5, 15.0)
         n_steps = int(rng.integers(2, 400))
         eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
-        yield models.propagator_grid(model, horizon, n_steps, eps)
+        yield model, models.propagator_grid(model, horizon, n_steps, eps)
 
 
 def _cnot_draws(rng):
-    """Random C-NOT grids, on- and off-grid epsilon; the long strongly
-    damped ones decay past the condition threshold."""
+    """Random C-NOT models and grids, on- and off-grid epsilon; the long
+    strongly damped ones decay past the condition threshold."""
     for i in range(40):
         deep = i % 4 == 0
         gamma = rng.uniform(0.5, 2.0) if deep else rng.uniform(0.005, 2.0)
@@ -401,16 +402,17 @@ def _cnot_draws(rng):
         horizon = rng.uniform(20.0, 60.0) if deep else rng.uniform(2.0, 60.0)
         n_steps = int(rng.integers(2, 500))
         eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
-        yield models.propagator_grid(model, horizon, n_steps, eps)
+        yield model, models.propagator_grid(model, horizon, n_steps, eps)
 
 
 def test_scan_fast_paths_agree_with_generic(rng):
-    # the generic scan inverts every transfer matrix and reads no axis
+    # the generic scan inverts every full transfer matrix, the C-NOT maps
+    # with their rotation about x
     for model, horizon in ((models.PauliChannelModel.hall(), 4.0),
                            (models.AmplitudeDampingModel(2.0, 1.0), 4.0)):
         grid = models.propagator_grid(model, horizon, 100)
         fast = divisibility.complement_scan(grid)
-        generic = oracles.generic_scan(grid)
+        generic = oracles.generic_scan(oracles.full_grid(model, grid))
         ok = ~generic.singular & (generic.noise_floor < 1e-9)
         assert ok.sum() > 50
         assert_allclose(fast.cp_witness[ok], generic.cp_witness[ok], atol=1e-8)
@@ -420,12 +422,12 @@ def test_scan_fast_paths_agree_with_generic(rng):
     # a conditioned grid takes the generic conditioning criterion on the
     # closed form: the same singular steps and noise floors, and witnesses
     # that agree to rounding
-    for draws, axis in ((_superradiance_draws, 3), (_cnot_draws, 1)):
+    for draws in (_superradiance_draws, _cnot_draws):
         n_singular = 0
-        for grid in draws(rng):
-            assert grid.axis == axis and grid.conditioned
+        for model, grid in draws(rng):
+            assert grid.conditioned
             fast = divisibility.complement_scan(grid)
-            generic = oracles.generic_scan(grid)
+            generic = oracles.generic_scan(oracles.full_grid(model, grid))
             assert np.array_equal(fast.singular, generic.singular)
             n_singular += int(generic.singular.sum())
             ok = ~generic.singular
@@ -457,13 +459,12 @@ def test_diagonal_scan_matches_explicit_superoperator(rng, kind):
     c_t = rng.uniform(-0.5, 0.5, n)
     grid = models.PropagatorGrid(
         times=np.arange(n + 1.0), dt=1.0, eps=1.0,
-        ptm=models._diagonal_ptm(np.vstack([d_t, np.ones(3)]), np.append(c_t, 0.0)),
-        ptm_shift=models._diagonal_ptm(mu * d_t, c + mu[:, 2] * c_t),
-        axis=3)
+        bloch=np.vstack([np.column_stack([d_t, c_t]), [1.0, 1.0, 1.0, 0.0]]),
+        bloch_shift=np.column_stack([mu * d_t, c + mu[:, 2] * c_t]))
     scan = divisibility.complement_scan(grid)
     assert not scan.singular.any()
     a = qmat._PAULI_COLS
-    superops = 0.5 * (a @ models._diagonal_ptm(mu, c) @ a.conj().T)
+    superops = 0.5 * (a @ oracles.embed(np.column_stack([mu, c])) @ a.conj().T)
     for i, e in enumerate(superops):
         assert_allclose(scan.cp_witness[i], divisibility.is_cp(e)[1], rtol=0, atol=1e-12)
         assert_allclose(scan.p_witness[i], divisibility.is_positive(e)[1], rtol=0, atol=1e-12)
@@ -492,13 +493,28 @@ def test_all_steps_singular_raises():
     model = models.AmplitudeDampingModel(0.9, 2.0)
     grid = models.propagator_grid(model, 10.0, 50)
     with pytest.raises(AllStepsSingular):
-        scan = oracles.generic_scan(grid, cond_threshold=0.5)
+        scan = oracles.generic_scan(oracles.full_grid(model, grid), cond_threshold=0.5)
         divisibility.verdict_from_scan(scan)
     # the damping map with zero survival loses every coherence: its one step
     # has no complement
     lost = oracles.damping_superop(0.0)
     with pytest.raises(AllStepsSingular):
         divisibility.verdict_from_scan(divisibility.complement_scan(one_step_grid(lost, lost)))
+
+
+def test_one_step_grid_rejects_maps_off_the_z_pattern(rng):
+    # a grid holds Bloch rows only; a map with entries off the diagonal-affine
+    # pattern about z must raise rather than lose them
+    u = np.cos(0.3) * qmat.IDENTITY - 1j * np.sin(0.3) * qmat.SIGMA_X
+    rot_x = oracles.sandwich_superop(u, u.conj().T)
+    not_tp = oracles.superop_of_choi(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex))
+    for e in (rot_x, not_tp, random_hp_tp_map(rng), random_cptp_map(rng)):
+        for pair in ((np.eye(4), e), (e, np.eye(4))):
+            with pytest.raises(ValueError, match="not a diagonal-affine map about z"):
+                one_step_grid(*pair)
+        oracles.generic_scan(one_step_maps(np.eye(4), e))  # the full maps take any pair
+    grid = one_step_grid(np.eye(4), oracles.damping_superop(0.5), epsilon=0.1)
+    assert_allclose(grid.bloch_shift, [[0.5, 0.5, 0.25, 0.75]], rtol=0, atol=0)
 
 
 def test_near_boundary_band():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import one_step_grid
+from conftest import one_step_grid, one_step_maps
 import oracles
 from kdivis import divisibility, measures, models, qmat
 from kdivis.divisibility import DivisibilityClass
@@ -56,7 +56,7 @@ def test_blp_trace_distance_matches_trace_norm_path():
             e = oracles.amplitude_damping_propagator(model, grid.times[i])
             direct = oracles.trace_distance(oracles.apply_superop(e, rho_plus),
                                             oracles.apply_superop(e, rho_minus))
-            shortcut = np.linalg.norm(grid.ptm[i, 1:, 1:] @ dirs[p])
+            shortcut = np.linalg.norm(grid.bloch[i, :3] * dirs[p])
             assert_allclose(direct, shortcut, atol=1e-10)
 
 
@@ -73,13 +73,14 @@ _BLP_MODELS = {
 }
 
 
-def _direct_blp(grid, dirs):
+def _direct_blp(full, dirs):
     """Reference: trace distances as the norms |M_t u| of the evolved Bloch
-    differences, without the Gram form or time blocks."""
-    dist = np.linalg.norm(grid.ptm[:, 1:, 1:] @ dirs.T, axis=1)
+    differences under the full transfer matrices, the C-NOT maps with their
+    rotation, without the Gram form or time blocks."""
+    dist = np.linalg.norm(full.ptm[:, 1:, 1:] @ dirs.T, axis=1)
     inc = np.diff(dist, axis=0)
     positive = np.clip(inc, 0.0, None).sum(axis=0)
-    return positive, inc / grid.dt
+    return positive, inc / full.dt
 
 
 @pytest.mark.parametrize("family", list(_BLP_MODELS))
@@ -91,33 +92,11 @@ def test_blp_matches_direct_bloch_norm(family):
     for n_steps, n_pairs in ((500, 64), (1000, 100), (40, 8193)):
         grid = models.propagator_grid(model, horizon, n_steps)
         result = measures.blp_from_grid(grid, n_pairs)
-        positive, sigma = _direct_blp(grid, result.directions)
+        positive, sigma = _direct_blp(oracles.full_grid(model, grid), result.directions)
         assert_allclose(result.measure, positive.max(), rtol=0, atol=1e-12)
         best = int(np.argmax(result.directions @ result.argmax_pair))
         assert_allclose(positive[best], positive.max(), rtol=0, atol=1e-12)
         assert_allclose(result.sigma_series, sigma, rtol=0, atol=1e-12)
-
-
-def test_blp_gram_form_on_general_bloch_maps():
-    # M^T M is diagonal for all four model families, so random maps are what
-    # exercise the off-diagonal Gram weights; the projectors I - u u^T kill
-    # each pair direction, where rounding leaves u^T M^T M u up to ~1e-16
-    # below zero and the clipped square root is accurate to ~sqrt(macheps)
-    rng = np.random.default_rng(5)
-    dirs = qmat.fibonacci_sphere(16)
-    bloch = [rng.normal(size=(3, 3)) / 3 for _ in range(40)]
-    bloch += [np.eye(3) - np.outer(u, u) for u in dirs]
-    ptm = np.zeros((len(bloch), 4, 4))
-    ptm[:, 0, 0] = 1.0
-    ptm[:, 1:, 1:] = bloch
-    # blp_from_grid reads no covariance axis, so any label serves
-    grid = models.PropagatorGrid(times=np.arange(len(bloch), dtype=float), dt=1.0,
-                                 eps=1.0, ptm=ptm, ptm_shift=ptm[1:], axis=3)
-    result = measures.blp_from_grid(grid, 16)
-    positive, sigma = _direct_blp(grid, dirs)
-    assert_allclose(result.sigma_series[:39], sigma[:39], rtol=0, atol=1e-12)
-    assert_allclose(result.sigma_series, sigma, rtol=0, atol=1e-7)
-    assert_allclose(result.measure, positive.max(), rtol=0, atol=1e-7)
 
 
 def test_blp_directions_cached_read_only_and_calls_repeat():
@@ -153,14 +132,17 @@ def test_blp_from_grid_peak_allocation():
 # RHP
 # ---------------------------------------------------------------------------
 
-def _rhp_g(e_t, e_te, epsilon, scan=oracles.generic_scan):
-    """RHP rate of the one complement step from ``e_t`` to ``e_te``."""
-    return measures.rhp_from_scan(scan(one_step_grid(e_t, e_te, epsilon))).g_series[0]
+def _rhp_g(e_t, e_te, epsilon, closed_form=False):
+    """RHP rate of the one complement step from ``e_t`` to ``e_te``, on the
+    package's closed form or on the generic scan."""
+    scan = (divisibility.complement_scan(one_step_grid(e_t, e_te, epsilon)) if closed_form
+            else oracles.generic_scan(one_step_maps(e_t, e_te, epsilon)))
+    return measures.rhp_from_scan(scan).g_series[0]
 
 
 def test_rhp_g_zero_for_cp_complement():
-    for scan in (divisibility.complement_scan, oracles.generic_scan):
-        assert _rhp_g(np.eye(4), np.eye(4), 0.02, scan) == 0.0
+    for closed_form in (True, False):
+        assert _rhp_g(np.eye(4), np.eye(4), 0.02, closed_form) == 0.0
 
 
 def test_rhp_g_positive_for_hall_complement():
@@ -173,8 +155,8 @@ def test_rhp_g_positive_for_hall_complement():
     choi = qmat.choi_of(e_te @ np.linalg.inv(e_t))
     lowest = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]
     assert lowest < -1e-4
-    for scan in (divisibility.complement_scan, oracles.generic_scan):
-        g = _rhp_g(e_t, e_te, eps, scan)
+    for closed_form in (True, False):
+        g = _rhp_g(e_t, e_te, eps, closed_form)
         assert_allclose(g, -2.0 * lowest / eps, rtol=1e-6)
         assert_allclose(g, np.tanh(t), atol=0.02)
 

@@ -55,8 +55,8 @@ def test_constant_rate_tag_round_trips_exactly(c):
     model = models.PauliChannelModel(c, 1.0, 1.0)
     rebuilt = models.model_from_params(*models.model_params(model))
     assert rebuilt == model
-    assert np.array_equal(models.propagator_grid(rebuilt, 2.0, 20).ptm,
-                          models.propagator_grid(model, 2.0, 20).ptm)
+    assert np.array_equal(models.propagator_grid(rebuilt, 2.0, 20).bloch,
+                          models.propagator_grid(model, 2.0, 20).bloch)
 
 
 def test_constant_rates_that_differ_in_the_seventh_digit_differ():
@@ -429,14 +429,14 @@ def test_grid_matches_pointwise_constructions():
     grid = models.propagator_grid(pauli, horizon, n)
     for i in (0, 17, n):
         t = grid.times[i]
-        assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
+        assert_allclose(oracles.embed(grid.bloch[i]), qmat.pauli_transfer_matrix(
             oracles.pauli_propagator_analytic(pauli, t)), atol=1e-12)
 
     ad = models.AmplitudeDampingModel(2.0, 1.0)
     grid = models.propagator_grid(ad, horizon, n)
     for i in (0, 31, n):
         t = grid.times[i]
-        assert_allclose(grid.ptm[i], qmat.pauli_transfer_matrix(
+        assert_allclose(oracles.embed(grid.bloch[i]), qmat.pauli_transfer_matrix(
             oracles.amplitude_damping_propagator(ad, t)), atol=1e-12)
 
 
@@ -451,12 +451,13 @@ def test_grid_composite_matches_reduced_propagator(rng):
     for i in (10, 50, 100):
         t = grid.times[i]
         ref = oracles.reduced_propagator(*joint, t, steps=int(800 * t))
-        assert np.abs(grid.ptm[i] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
-    # the closed forms against one expm of the joint generator per time, on
-    # and off grid: short grids, random draws, and the two edges of the
-    # superradiance form, gamma0 * horizon >= 1000 (where a form with growing
-    # exponentials overflows) and x <= 1e-8 (where the cross rate rounds to
-    # gamma0 and delta to zero)
+        full = oracles.embed(grid.bloch[i])
+        assert np.abs(full - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
+    # the closed forms, as full transfer matrices, against one expm of the
+    # joint generator per time, on and off grid: short grids, random draws,
+    # and the two edges of the superradiance form, gamma0 * horizon >= 1000
+    # (where a form with growing exponentials overflows) and x <= 1e-8
+    # (where the cross rate rounds to gamma0 and delta to zero)
     cases = [(model, 2.0, n) for n in (2, 3, 9, 500)]
     cases += [(models.CnotControlModel(J=1.7, gamma=0.15, a=0.3), 2.0, n) for n in (2, 3, 9, 500)]
     cases += [(models.SuperradianceModel(5.0, 2.0, 0.7), 200.0, 400),
@@ -474,10 +475,12 @@ def test_grid_composite_matches_reduced_propagator(rng):
         msg = f"{model}, horizon {horizon}, {n_steps} steps"
         grid = models.propagator_grid(model, horizon, n_steps)
         off = models.propagator_grid(model, horizon, n_steps, eps=rng.uniform(0.01, 1.0) * grid.dt)
-        assert np.isfinite(grid.ptm).all() and np.isfinite(off.ptm_shift).all(), msg
-        assert_allclose(grid.ptm, _expm_ptm(model, grid.times), rtol=0, atol=1e-12, err_msg=msg)
-        assert np.array_equal(off.ptm, grid.ptm), msg
-        assert_allclose(off.ptm_shift, _expm_ptm(model, grid.times[:-1] + off.eps),
+        assert np.isfinite(grid.bloch).all() and np.isfinite(off.bloch_shift).all(), msg
+        assert_allclose(oracles.full_grid(model, grid).ptm, _expm_ptm(model, grid.times),
+                        rtol=0, atol=1e-12, err_msg=msg)
+        assert np.array_equal(off.bloch, grid.bloch), msg
+        assert_allclose(oracles.full_grid(model, off).ptm_shift,
+                        _expm_ptm(model, grid.times[:-1] + off.eps),
                         rtol=0, atol=1e-12, err_msg=msg)
 
 
@@ -485,13 +488,14 @@ def test_grid_shift_off_grid_epsilon():
     model = models.PauliChannelModel.hall()
     grid = models.propagator_grid(model, 2.0, 40, eps=0.01)
     assert grid.eps == 0.01
-    assert_allclose(grid.ptm_shift[8], qmat.pauli_transfer_matrix(
+    assert_allclose(oracles.embed(grid.bloch_shift[8]), qmat.pauli_transfer_matrix(
         oracles.pauli_propagator_analytic(model, grid.times[8] + 0.01)), atol=1e-12)
     cn = models.CnotControlModel(1.0, 0.1, 0.5)
     grid = models.propagator_grid(cn, 2.0, 40, eps=0.01)
     ref = oracles.reduced_propagator(*oracles.joint_dynamics(cn), grid.times[8] + 0.01,
                                      steps=600)
-    assert np.abs(grid.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
+    full = oracles.full_grid(cn, grid)
+    assert np.abs(full.ptm_shift[8] - qmat.pauli_transfer_matrix(ref)).max() < 1e-6
 
 
 def test_grid_maps_are_tp_and_hp_for_all_families():
@@ -503,9 +507,10 @@ def test_grid_maps_are_tp_and_hp_for_all_families():
     ]
     for model, horizon in cases:
         grid = models.propagator_grid(model, horizon, 120)
+        full = oracles.full_grid(model, grid)
         # a trace-preserving transfer matrix has first row (1, 0, 0, 0)
-        assert grid.ptm.dtype == float
-        assert_allclose(grid.ptm[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (121, 1)),
+        assert grid.bloch.dtype == full.ptm.dtype == float
+        assert_allclose(full.ptm[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (121, 1)),
                         atol=1e-10, err_msg=type(model).__name__)
         if isinstance(model, (models.CnotControlModel, models.SuperradianceModel)):
             # the reduced maps of the joint dynamics are trace and Hermiticity
@@ -515,48 +520,57 @@ def test_grid_maps_are_tp_and_hp_for_all_families():
                 assert oracles.is_hermiticity_preserving(e, 1e-10)
 
 
+#: rounding of the reduced maps of one expm of the joint generator
+_EXPM_ROUNDING = 1e-13
+
+
 def test_superradiance_grids_are_diagonal_affine(rng):
-    """Superradiance transfer matrices are ``diag(1, d_x, d_y, d_z)`` plus
-    ``c_z`` in the z row, with exact zeros elsewhere, and ``d_x = d_y``.
+    """The reduced superradiance maps are ``diag(1, d_x, d_y, d_z)`` plus
+    ``c_z`` in the z row, zero elsewhere, with ``d_x = d_y``, and the grid
+    rows are their ``(d, c_z)``.
 
     The joint dynamics is covariant under phase rotations about z, so the
     reduced maps are too; the cross-coupling is purely dissipative, with no
-    exchange Hamiltonian to rotate the transverse plane. The closed form
-    writes these zeros exactly."""
-    off = np.ones((4, 4), dtype=bool)
-    off[[0, 1, 2, 3, 3], [0, 1, 2, 3, 0]] = False
+    exchange Hamiltonian to rotate the transverse plane."""
     for i in range(40):
         model = models.SuperradianceModel(rng.uniform(0.01, 5.0), rng.uniform(0.01, 20.0),
                                           rng.uniform())
-        horizon, n_steps = rng.uniform(0.5, 40.0), int(rng.integers(2, 400))
+        horizon, n_steps = rng.uniform(0.5, 40.0), int(rng.integers(2, 60))
         eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
         grid = models.propagator_grid(model, horizon, n_steps, eps)
-        for ptm in (grid.ptm, grid.ptm_shift):
-            assert not ptm[:, off].any()
-            assert_allclose(ptm[:, 1, 1], ptm[:, 2, 2], rtol=0, atol=1e-14)
+        full = oracles.full_grid(model, grid, _expm_ptm)
+        for f, rows in ((full.ptm, grid.bloch), (full.ptm_shift, grid.bloch_shift)):
+            expm_rows = oracles.bloch_rows(f, atol=_EXPM_ROUNDING)
+            assert_allclose(expm_rows[:, 0], expm_rows[:, 1], rtol=0, atol=_EXPM_ROUNDING)
+            assert_allclose(rows, expm_rows, rtol=0, atol=1e-12)
 
 
 def test_cnot_grids_are_x_covariant(rng):
-    """C-NOT transfer matrices are ``1 + d_x + [[A, -B], [B, A]]`` on the
-    yz block, with exact zeros elsewhere and no offset ``c``.
+    """The reduced C-NOT maps are ``1 + d_x + [[A, -B], [B, A]]`` on the yz
+    block, zero elsewhere, with no offset ``c``, and the grid rows are
+    ``(d_x, |z|, |z|, 0)`` with ``z = A + iB``.
 
     The control is diagonal, so the target sees a mixture of the identity
     and a rotation about x, both covariant about x, followed by isotropic
-    depolarizing, which is covariant about every axis. The closed form
-    writes these zeros exactly."""
+    depolarizing, which is covariant about every axis."""
     off = np.ones((4, 4), dtype=bool)
     off[0, 0] = off[1, 1] = False
     off[2:, 2:] = False
     for i in range(40):
         model = models.CnotControlModel(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0),
                                         rng.uniform())
-        horizon, n_steps = rng.uniform(0.5, 60.0), int(rng.integers(2, 500))
+        horizon, n_steps = rng.uniform(0.5, 60.0), int(rng.integers(2, 60))
         eps = None if i % 2 else rng.uniform(0.01, 1.0) * horizon / n_steps
         grid = models.propagator_grid(model, horizon, n_steps, eps)
-        for ptm in (grid.ptm, grid.ptm_shift):
-            assert not ptm[:, off].any()
-            assert_allclose(ptm[:, 2, 2], ptm[:, 3, 3], rtol=0, atol=1e-13)
-            assert_allclose(ptm[:, 2, 3], -ptm[:, 3, 2], rtol=0, atol=1e-13)
+        full = oracles.full_grid(model, grid, _expm_ptm)
+        for f, rows in ((full.ptm, grid.bloch), (full.ptm_shift, grid.bloch_shift)):
+            assert_allclose(f[:, off], 0.0, rtol=0, atol=_EXPM_ROUNDING)
+            assert_allclose(f[:, 0, 0], 1.0, rtol=0, atol=_EXPM_ROUNDING)
+            assert_allclose(f[:, 2, 2], f[:, 3, 3], rtol=0, atol=_EXPM_ROUNDING)
+            assert_allclose(f[:, 2, 3], -f[:, 3, 2], rtol=0, atol=_EXPM_ROUNDING)
+            z = np.hypot(f[:, 2, 2], f[:, 3, 2])
+            assert_allclose(rows, np.column_stack([f[:, 1, 1], z, z, f[:, 1, 0]]),
+                            rtol=0, atol=1e-12)
 
 
 def test_only_composite_grids_are_conditioned():
@@ -570,24 +584,11 @@ def test_only_composite_grids_are_conditioned():
             assert models.propagator_grid(model, 2.0, 20, eps).conditioned == conditioned
 
 
-def test_every_family_puts_its_covariance_axis_on_its_grids():
-    examples = {"pauli": models.PauliChannelModel.hall(),
-                "ad": models.AmplitudeDampingModel(2.0, 1.0),
-                "cnot": models.CnotControlModel(1.0, 0.1, 0.5),
-                "superradiance": models.SuperradianceModel(1.0, 2.0, 0.5)}
-    assert examples.keys() == models.MODEL_FAMILIES.keys()
-    axes = {tag: fam.cls.axis for tag, fam in models.MODEL_FAMILIES.items()}
-    assert axes == {"pauli": 3, "ad": 3, "cnot": 1, "superradiance": 3}
-    for tag, model in examples.items():
-        for eps in (None, 0.05):
-            assert models.propagator_grid(model, 2.0, 20, eps).axis == axes[tag]
-
-
 def test_superradiance_ground_env_population_decays():
     model = models.SuperradianceModel(gamma0=1.0, x=2.2, a=0.0)
     grid = models.propagator_grid(model, 8.0, 160)
     # Pauli coordinates Tr(sigma_m rho) of the excited state and its image
-    out = grid.ptm @ np.array([1.0, 0.0, 0.0, -1.0])
+    out = oracles.embed(grid.bloch) @ np.array([1.0, 0.0, 0.0, -1.0])
     pops = 0.5 * (out[:, 0] - out[:, 3])
     assert (np.diff(pops) <= 1e-10).all()
 
