@@ -11,7 +11,7 @@ from .divisibility import (
     is_cp,
     is_positive,
 )
-from .errors import AllStepsSingular, KdivisError, QuadratureFailure
+from .errors import AllStepsSingular, KdivisError
 from .measures import (
     BlpResult,
     RhpResult,

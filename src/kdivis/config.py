@@ -1,7 +1,9 @@
 """Central numerical tolerances.
 
 Every threshold used anywhere in the package lives in one immutable value,
-:data:`DEFAULT`, instead of as magic numbers in individual modules.
+:data:`DEFAULT`, instead of as magic numbers in individual modules. Rate
+integrals and propagators are closed form, so no integration target is
+among them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ class Tolerances:
     violation_per_eps: float = 1e-7
     #: A measure above this value counts as "detected" non-Markovianity.
     detection: float = 1e-5
-    #: Absolute target for adaptive quadrature of rate integrals.
-    quadrature: float = 1e-10
 
 
 DEFAULT = Tolerances()

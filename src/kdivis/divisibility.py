@@ -110,8 +110,8 @@ def is_cp(
     return witness >= -tol, witness
 
 
-#: Newton's method on ``1/|u(nu)|`` converges monotonically and
-#: quadratically; the cap only bounds pathological rounding
+#: Newton's method on ``1/|u(nu)|`` converges monotonically, each step
+#: squaring the error; the cap only bounds pathological rounding
 _NEWTON_MAX = 50
 
 

@@ -7,9 +7,5 @@ class KdivisError(Exception):
     """Base class for all package-specific errors."""
 
 
-class QuadratureFailure(KdivisError):
-    """Adaptive integration of a rate function did not converge."""
-
-
 class AllStepsSingular(KdivisError):
     """Every complement step over the horizon failed; nothing to classify."""

@@ -5,7 +5,8 @@ Every model produces a family of qubit maps ``E_t``, held on time grids
 scan and the measures work on:
 
 * :class:`PauliChannelModel` -- dephasing along the three Pauli axes with
-  time-dependent rates; solved in closed form in the Pauli eigenbasis.
+  time-dependent rates from the :class:`RateFn` vocabulary, each with a
+  closed-form integral; solved in closed form in the Pauli eigenbasis.
 * :class:`AmplitudeDampingModel` -- decay into a Lorentzian reservoir of
   width ``lam`` and coupling ``gamma0``; the survival amplitude ``G(t)`` is
   the resonant damped-oscillator solution, which changes character at
@@ -40,15 +41,10 @@ in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-
-from . import config
-from .errors import QuadratureFailure
 
 __all__ = [
     "RateFn",
@@ -84,15 +80,16 @@ _RATE_NAMES = {"tanh-neg": "tanh_neg", "sin": "sine", "sin-neg": "sine_neg"}
 
 @dataclass(frozen=True)
 class RateFn:
-    """A scalar rate function of time with an optional closed-form integral.
+    """A scalar rate function of time with its closed-form integral.
 
     ``tag`` is the serialization vocabulary: ``const:c``, ``tanh-neg``,
-    ``sin``, ``sin-neg`` or ``custom``.
+    ``sin`` or ``sin-neg``; ``antiderivative`` is any antiderivative of
+    ``fn``.
     """
 
     tag: str
     fn: Callable = field(compare=False)
-    antiderivative: Callable | None = field(default=None, compare=False)
+    antiderivative: Callable = field(compare=False)
 
     def __call__(self, t):
         return self.fn(t)
@@ -121,7 +118,7 @@ class RateFn:
 
     @classmethod
     def of(cls, spec) -> "RateFn":
-        """Coerce a number, vocabulary string or callable into a RateFn."""
+        """Coerce a number or vocabulary string into a RateFn."""
         if isinstance(spec, RateFn):
             return spec
         if isinstance(spec, (int, float)):
@@ -136,40 +133,12 @@ class RateFn:
             except ValueError:
                 raise ValueError(f"unknown rate spec {spec!r}") from None
             return cls.constant(c)
-        if callable(spec):
-            return cls("custom", spec)
-        raise TypeError(f"cannot build a rate function from {spec!r}")
-
-    def integral(self, t: float) -> float:
-        """Integral of the rate over ``[0, t]``."""
-        if self.antiderivative is not None:
-            return float(self.antiderivative(t) - self.antiderivative(0.0))
-        return _quad_checked(self.fn, 0.0, t)
+        raise TypeError(f"cannot build a rate function from {spec!r}; rates are a "
+                        f"number or one of 'const:c', {', '.join(map(repr, _RATE_NAMES))}")
 
     def integrals_on_grid(self, times: np.ndarray) -> np.ndarray:
-        """Integrals from 0 to each entry of a sorted time grid."""
-        times = np.asarray(times, dtype=float)
-        if self.antiderivative is not None:
-            return np.asarray(self.antiderivative(times) - self.antiderivative(0.0), dtype=float)
-        segs = [0.0 if times[0] == 0.0 else _quad_checked(self.fn, 0.0, times[0])]
-        for a, b in zip(times[:-1], times[1:]):
-            segs.append(_quad_checked(self.fn, a, b))
-        return np.cumsum(segs)
-
-
-def _quad_checked(fn, a, b) -> float:
-    if a == b:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(fn, a, b, epsabs=config.DEFAULT.quadrature, limit=200)
-        except IntegrationWarning as exc:
-            raise QuadratureFailure(f"rate integral on [{a}, {b}] did not converge: {exc}") from exc
-    if err > 1e4 * config.DEFAULT.quadrature:
-        raise QuadratureFailure(
-            f"rate integral on [{a}, {b}] error estimate {err:.2e} above target")
-    return float(val)
+        """Integrals from 0 to each entry of a time grid."""
+        return self.antiderivative(np.asarray(times, dtype=float)) - self.antiderivative(0.0)
 
 
 def _check_finite(model, *attrs: str) -> None:
@@ -202,8 +171,8 @@ class PauliChannelModel:
         for name in ("g1", "g2", "g3"):
             try:
                 object.__setattr__(self, name, RateFn.of(getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise type(exc)(f"{name}: {exc}") from None
 
     @classmethod
     def constant(cls, c1: float, c2: float, c3: float) -> "PauliChannelModel":
@@ -507,9 +476,8 @@ class ModelParam(NamedTuple):
 class ModelFamily:
     """A model class under its family tag, with its parameters in field order.
 
-    ``build`` maps a parameter dict to a model, passing rates on and the rest
-    through ``float``. It is compiled once, as :mod:`dataclasses` compiles
-    ``__init__``, so that a sweep cell pays for the dict lookups alone.
+    :meth:`build` maps a parameter dict to a model, passing rates on and
+    the rest through ``float``.
     """
 
     def __init__(self, cls: type):
@@ -518,9 +486,10 @@ class ModelFamily:
         self.params = tuple(ModelParam(_PARAM_NAMES.get(f.name, f.name), f.name,
                                        hints[f.name] is RateFn) for f in fields(cls))
         self.names = frozenset(p.name for p in self.params)
-        args = ", ".join(f"p[{p.name!r}]" if p.rate else f"float(p[{p.name!r}])"
-                         for p in self.params)
-        self.build = eval(f"lambda p: cls({args})", {"cls": cls})
+
+    def build(self, params: dict):
+        return self.cls(**{p.attr: params[p.name] if p.rate else float(params[p.name])
+                           for p in self.params})
 
     def check(self, names, allow_missing: bool = False) -> None:
         """Raise ``ValueError`` naming the parameters among ``names`` that

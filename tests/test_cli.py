@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -505,3 +507,13 @@ def test_cli_run_defaults_match_the_library_defaults():
     assert run["epsilon"] == rhp["epsilon"].default
     assert run["tolerance"] == spec["tol"] == classify["tol"].default
     assert run["detection"] == spec["detection"]
+
+
+def test_import_loads_no_scipy():
+    # numpy and jsonschema are the runtime dependencies; scipy serves the tests
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, kdivis, kdivis.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"

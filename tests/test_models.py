@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 import oracles
 from kdivis import config, models, qmat
-from kdivis.errors import QuadratureFailure
 
 
 def _is_tp(e, tol=1e-8):
@@ -23,20 +22,12 @@ def _annihilates_trace(gen, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 def test_rate_presets_match_quadrature():
-    from scipy.integrate import quad
+    times = (0.3, 1.7, 6.0)
     for rate in (models.RateFn.constant(0.7), models.RateFn.tanh_neg(),
                  models.RateFn.sine(), models.RateFn.sine_neg()):
-        for t in (0.3, 1.7, 6.0):
+        for t, integral in zip(times, rate.integrals_on_grid(times)):
             ref, _ = quad(lambda s: float(rate(s)), 0.0, t, epsabs=1e-12)
-            assert_allclose(rate.integral(t), ref, atol=1e-9)
-
-
-def test_rate_custom_uses_quadrature():
-    rate = models.RateFn.of(lambda t: np.exp(-t))
-    assert rate.tag == "custom"
-    assert_allclose(rate.integral(2.0), 1.0 - np.exp(-2.0), atol=1e-9)
-    grid = rate.integrals_on_grid(np.linspace(0.0, 2.0, 9))
-    assert_allclose(grid[-1], 1.0 - np.exp(-2.0), atol=1e-9)
+            assert_allclose(integral, ref, atol=1e-9)
 
 
 def test_rate_vocabulary_round_trip():
@@ -46,6 +37,11 @@ def test_rate_vocabulary_round_trip():
     assert models.RateFn.of("0.25").tag == "const:0.25"
     with pytest.raises(ValueError):
         models.RateFn.of("cosh")
+    # a callable has no closed-form integral: it is no rate
+    with pytest.raises(TypeError, match="cannot build a rate function"):
+        models.RateFn.of(lambda t: np.exp(-t))
+    with pytest.raises(TypeError, match=r"^g1: cannot build .*'tanh-neg', 'sin', 'sin-neg'"):
+        models.PauliChannelModel(lambda t: 1 + 0 * t, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("c", [0.1234567, 1 / 3, -2.5e-7, 123456789.0, 5e-324])
@@ -65,12 +61,6 @@ def test_constant_rates_that_differ_in_the_seventh_digit_differ():
     # a value that :g reproduces keeps its short tag
     assert [models.RateFn.constant(c).tag for c in (2, 0.5, -0.5, 1e-5)] == [
         "const:2", "const:0.5", "const:-0.5", "const:1e-05"]
-
-
-def test_quadrature_failure_on_wild_rate():
-    rate = models.RateFn.of(lambda t: np.sin(1e7 * t))
-    with pytest.raises(QuadratureFailure):
-        rate.integral(50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +601,8 @@ def test_propagator_grid_validates_inputs():
 def test_model_params_round_trip():
     cases = [
         models.PauliChannelModel.hall(),
+        models.PauliChannelModel.sine_eternal(),
+        models.PauliChannelModel.constant(0.3, -0.25, 1.1),
         models.AmplitudeDampingModel(1.2, 0.7),
         models.CnotControlModel(1.0, 0.3, 0.25),
         models.SuperradianceModel(0.9, 2.4, 0.6),
@@ -619,6 +611,8 @@ def test_model_params_round_trip():
         family, params = models.model_params(model)
         rebuilt = models.model_from_params(family, params)
         assert rebuilt == model
+        assert np.array_equal(models.propagator_grid(rebuilt, 6.0, 60).bloch,
+                              models.propagator_grid(model, 6.0, 60).bloch)
 
 
 def test_model_from_params_names_missing_and_unknown_parameters():
