@@ -1,30 +1,29 @@
 """Command-line driver.
 
 Subcommands: ``classify``, ``blp``, ``rhp``, ``sweep``, ``figure``. Runs are
-described by a JSON config (schema-validated, unknown keys rejected), by a
-named preset, or by flags; flags override file values. Exit codes: 0 on
-success, 1 on config errors, 2 on model/run errors or an exceeded cell
-budget. Output files are written atomically.
+described by a JSON config (checked against the flag and parameter tables,
+unknown keys rejected), by a named preset, or by flags; flags override file
+values. Exit codes: 0 on success, 1 on config errors, 2 on model/run errors,
+an exceeded cell budget or an output that cannot be written. Output files
+are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import json
 import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import config, divisibility, figures, measures, models, sweep
 from .errors import KdivisError
 
-__all__ = ["main", "PRESETS", "CONFIG_SCHEMA", "load_run_config", "RunConfigError"]
+__all__ = ["main", "PRESETS", "load_run_config", "RunConfigError"]
 
 
 class RunConfigError(Exception):
@@ -35,26 +34,27 @@ class _Setting(NamedTuple):
     """One run or output setting: its flag (None if only a config file sets
     it), config block and key (None for a flag that sets no key: ``--config``,
     which names the file, and the series ``--out`` of blp and rhp), argparse
-    settings, JSON schema, default, and the subcommands that read it. A
-    subcommand takes no other flag; ``figure`` accepts no other key."""
+    settings, least value (inclusive for an int, exclusive for a float),
+    default, and the subcommands that read it. The argparse settings give a
+    config value's kind: ``type=int`` or ``float``, ``choices``, a bool for
+    ``store_true``, else a string. A subcommand takes no other flag;
+    ``figure`` accepts no other key."""
 
     flag: str | None
     block: str | None
     key: str | None
     args: dict
-    schema: dict | None
+    low: float | None
     default: object
     readers: set
 
 
-#: flags in help order; the run and output schema, flag overrides and
+#: flags in help order; the run and output config checks, flag overrides and
 #: defaults derive from this table
 _SETTINGS = (
-    _Setting("--pairs", "run", "pairs", dict(type=int, metavar="N"),
-             {"type": "integer", "minimum": 1}, 64, {"blp", "sweep"}),
-    _Setting("--detection", "run", "detection", dict(type=float, metavar="F"),
-             {"type": "number", "exclusiveMinimum": 0}, config.DEFAULT.detection,
-             {"blp", "rhp", "sweep"}),
+    _Setting("--pairs", "run", "pairs", dict(type=int, metavar="N"), 1, 64, {"blp", "sweep"}),
+    _Setting("--detection", "run", "detection", dict(type=float, metavar="F"), 0,
+             config.DEFAULT.detection, {"blp", "rhp", "sweep"}),
     _Setting("--config", None, None, dict(metavar="PATH", help="JSON run config"),
              None, None, {"classify", "blp", "rhp", "sweep", "figure"}),
     # a series goes to --out alone: a config shared with sweep names the
@@ -62,68 +62,54 @@ _SETTINGS = (
     _Setting("--out", None, None, dict(metavar="PATH", help="series CSV path"),
              None, None, {"blp", "rhp"}),
     _Setting("--out", "output", "path", dict(metavar="PATH", help="output path"),
-             {"type": "string"}, "sweep", {"sweep"}),
+             None, "sweep", {"sweep"}),
     _Setting("--format", "output", "format", dict(choices=figures.FORMATS),
-             {"enum": list(figures.FORMATS)}, "both", {"sweep", "figure"}),
+             None, "both", {"sweep", "figure"}),
     # no default: a run without a horizon is a config error
-    _Setting("--horizon", "run", "horizon", dict(type=float, metavar="F"),
-             {"type": "number", "exclusiveMinimum": 0}, None,
+    _Setting("--horizon", "run", "horizon", dict(type=float, metavar="F"), 0, None,
              {"classify", "blp", "rhp", "sweep"}),
-    _Setting("--steps", "run", "steps", dict(type=int, metavar="N"),
-             {"type": "integer", "minimum": 2}, 500, {"classify", "blp", "rhp", "sweep"}),
-    _Setting("--epsilon", "run", "epsilon", dict(type=float, metavar="F"),
-             {"type": ["number", "null"], "exclusiveMinimum": 0}, None,
+    _Setting("--steps", "run", "steps", dict(type=int, metavar="N"), 2, 500,
+             {"classify", "blp", "rhp", "sweep"}),
+    _Setting("--epsilon", "run", "epsilon", dict(type=float, metavar="F"), 0, None,
              {"classify", "rhp", "sweep"}),
     _Setting("--tol", "run", "tolerance",
              dict(type=float, metavar="F", help="absolute per-step witness tolerance"),
-             {"type": "number", "exclusiveMinimum": 0}, None, {"classify", "sweep"}),
+             0, None, {"classify", "sweep"}),
     _Setting("--jobs", "run", "jobs",
              dict(type=int, metavar="N",
                   help="worker processes (default: KDIVIS_JOBS or CPU count)"),
-             {"type": "integer", "minimum": 1}, None, {"sweep", "figure"}),
+             1, None, {"sweep", "figure"}),
     # default None: an absent flag leaves the config's value in force
     _Setting("--measures", "run", "measures",
              dict(action="store_true", default=None, help="also compute BLP/RHP per cell"),
-             {"type": "boolean"}, False, {"sweep"}),
-    _Setting(None, "output", "dir", {}, {"type": "string"}, ".", {"figure"}),
+             None, False, {"sweep"}),
+    _Setting(None, "output", "dir", {}, None, ".", {"figure"}),
 )
 
-_AXIS = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "min": {"type": "number"},
-        "max": {"type": "number"},
-        "n": {"type": "integer", "minimum": 2},
-    },
-    "required": ["name", "min", "max", "n"],
-}
+#: the types of a number and of a rate (a rate string or a number); a bool is neither
+_NUMBER, _RATE = (int, float), (int, float, str)
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": list(models.MODEL_FAMILIES)},
-                **{name: {"type": ["string", "number"] if p.rate else "number"}
-                   for name, p in models.MODEL_PARAMS.items()},
-            },
-            "required": ["family"],
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"x": _AXIS, "y": _AXIS},
-            "required": ["x", "y"],
-        },
-        **{block: {"type": "object", "additionalProperties": False,
-                   "properties": {s.key: s.schema for s in _SETTINGS if s.block == block}}
-           for block in ("run", "output")},
-    },
+
+def _kind(setting: _Setting):
+    """The kind of a setting's config value, read off its argparse settings."""
+    if "choices" in setting.args:
+        return list(setting.args["choices"])
+    declared = setting.args.get("type", setting.args.get("action"))
+    return {int: (int,), float: _NUMBER, "store_true": (bool,)}.get(declared, (str,))
+
+
+#: (kind, bound) of every key of a sweep axis
+_AXIS = {"name": ((str,), None), "min": (_NUMBER, None), "max": (_NUMBER, None), "n": ((int,), 2)}
+
+#: (kind, bound) of every config block. A kind is a tuple of types, a list of choices or a
+#: dict of an object's keys; a bound is a number's least value or an object's required keys.
+_CONFIG = {
+    "model": ({"family": (list(models.MODEL_FAMILIES), None),
+               **{name: (_RATE if p.rate else _NUMBER, None)
+                  for name, p in models.MODEL_PARAMS.items()}}, ["family"]),
+    "sweep": ({"x": (_AXIS, [*_AXIS]), "y": (_AXIS, [*_AXIS])}, ["x", "y"]),
+    **{block: ({s.key: (_kind(s), s.low) for s in _SETTINGS if s.block == block}, None)
+       for block in ("run", "output")},
 }
 
 PRESETS = {
@@ -164,26 +150,40 @@ def _merge(base: dict, update: dict) -> dict:
     return out
 
 
-@functools.cache
-def _config_validator():
-    # built on first use, once per process: checking the constant schema
-    # against its metaschema costs about 20 ms
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+def _check(where: str, val, kind, bound=None) -> None:
+    """Raise a config error unless ``val``, found at ``where``, is of
+    ``kind`` and within ``bound``: a number finite and at least its least
+    value (above it for a float), an object with every key it needs."""
+    field = f"config field {where or '<root>'}"
+    if isinstance(kind, dict):
+        if not isinstance(val, dict):
+            raise RunConfigError(f"{field}: {val!r} is not an object")
+        missing = [key for key in bound or () if key not in val]
+        if missing:
+            raise RunConfigError(f"{field}: missing key(s) {missing}")
+        for key, item in val.items():
+            if key not in kind:
+                raise RunConfigError(f"{field}: unknown key {key!r}")
+            _check(f"{where}/{key}" if where else key, item, *kind[key])
+    elif isinstance(kind, list):
+        if val not in kind:
+            raise RunConfigError(f"{field}: {val!r} is not one of {kind}")
+    elif not (val is None and where == "run/epsilon"):  # null: the default epsilon
+        if not isinstance(val, kind) or isinstance(val, bool) and bool not in kind:
+            raise RunConfigError(f"{field}: {val!r} is not of type {[t.__name__ for t in kind]}")
+        if bound is not None and not math.isfinite(val):
+            raise RunConfigError(f"{field}: {val} is not finite")
+        if bound is not None and (val < bound or (kind is _NUMBER and val == bound)):
+            raise RunConfigError(
+                f"{field}: {val} is {'not above' if kind is _NUMBER else 'below'} {bound}")
 
 
 def validate_config(cfg: dict) -> None:
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise RunConfigError(f"config field {where}: {exc.message}") from exc
+    """Raise :class:`RunConfigError` unless ``cfg`` has only known keys, each
+    value of its kind, and a model family that takes the parameters given."""
+    _check("", cfg, _CONFIG)
     if "model" in cfg:
         _check_params(cfg["model"], allow_missing=True)
-    for key, val in cfg.get("run", {}).items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise RunConfigError(f"config field run/{key}: {val} is not finite")
 
 
 def _check_params(model_cfg: dict, allow_missing: bool = False) -> None:
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     except RunConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (KdivisError, ValueError) as exc:
+    except (KdivisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 """Test oracles: full transfer matrices, the generic complement scan, the
-single-map toolbox and the joint two-qubit dynamics of the composite models.
+single-map toolbox, the joint two-qubit dynamics of the composite models and
+the JSON schema run configs were once checked against.
 
 The package writes every model's maps in closed form as diagonal Bloch rows
 ``(d_x, d_y, d_z, c_z)`` and scans them in closed form. The tests check it
@@ -9,17 +10,20 @@ inverts every full transfer matrix by SVD; single maps as 4x4 complex
 superoperators in the column-stacking convention of :mod:`kdivis.qmat`,
 propagated analytically or by fixed-step RK4; and the composite models'
 16x16 joint generators, whose reduced maps come from ``expm`` or RK4 and a
-partial trace.
+partial trace. :func:`schema_config_error` is the former config check: a
+JSON schema, then the family's parameters, then finite run values.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
+import jsonschema
 import numpy as np
 from scipy.linalg import expm
 
-from kdivis import config, divisibility, models, qmat
+from kdivis import cli, config, divisibility, figures, models, qmat
 
 
 class NotHermitian(Exception):
@@ -471,3 +475,87 @@ def reduced_expm(model, times) -> np.ndarray:
     gen, env, which = joint_dynamics(model)
     cols = _joint_basis_columns(env, which)
     return _reduce_joint_columns(np.stack([expm(gen * t) @ cols for t in times]), which)
+
+
+# ---------------------------------------------------------------------------
+# The JSON schema of run configs
+# ---------------------------------------------------------------------------
+
+_AXIS_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string"},
+        "min": {"type": "number"},
+        "max": {"type": "number"},
+        "n": {"type": "integer", "minimum": 2},
+    },
+    "required": ["name", "min", "max", "n"],
+}
+
+#: the schema, with ``run`` and ``output`` as the flag table declared them
+CONFIG_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "model": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "family": {"enum": list(models.MODEL_FAMILIES)},
+                **{name: {"type": ["string", "number"] if p.rate else "number"}
+                   for name, p in models.MODEL_PARAMS.items()},
+            },
+            "required": ["family"],
+        },
+        "sweep": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"x": _AXIS_SCHEMA, "y": _AXIS_SCHEMA},
+            "required": ["x", "y"],
+        },
+        "run": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "pairs": {"type": "integer", "minimum": 1},
+                "detection": {"type": "number", "exclusiveMinimum": 0},
+                "horizon": {"type": "number", "exclusiveMinimum": 0},
+                "steps": {"type": "integer", "minimum": 2},
+                "epsilon": {"type": ["number", "null"], "exclusiveMinimum": 0},
+                "tolerance": {"type": "number", "exclusiveMinimum": 0},
+                "jobs": {"type": "integer", "minimum": 1},
+                "measures": {"type": "boolean"},
+            },
+        },
+        "output": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "path": {"type": "string"},
+                "format": {"enum": list(figures.FORMATS)},
+                "dir": {"type": "string"},
+            },
+        },
+    },
+}
+
+
+def schema_config_error(cfg) -> str | None:
+    """The message of the error the schema-based check raised for ``cfg``,
+    or None if it accepted it. It checked the schema first, then the
+    family's parameters, then that every float of the run block is finite."""
+    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if exc is not None:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        return f"config field {where}: {exc.message}"
+    if "model" in cfg:
+        try:
+            cli._check_params(cfg["model"], allow_missing=True)
+        except cli.RunConfigError as exc:
+            return str(exc)
+    for key, val in cfg.get("run", {}).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            return f"config field run/{key}: {val} is not finite"
+    return None

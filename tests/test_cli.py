@@ -1,15 +1,16 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 
+import oracles
 from kdivis import cli, divisibility, figures, measures, models, sweep
 from kdivis.cli import main
 
@@ -70,19 +71,26 @@ def test_config_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
-def test_config_schema_is_checked_once_per_process(monkeypatch):
-    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
-    calls = []
-    check = validator.check_schema
-    monkeypatch.setattr(validator, "check_schema",
-                        lambda schema: calls.append(schema) or check(schema))
-    cli._config_validator.cache_clear()
-    try:
-        cli.load_run_config("ad")
-        cli.load_run_config("hall")
-    finally:
-        cli._config_validator.cache_clear()
-    assert calls == [cli.CONFIG_SCHEMA]
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["classify", "hall", "--config", str(path)]) == 1
+    assert f"config error: cannot read config {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"run"', "null"])
+def test_config_top_level_must_be_an_object(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["classify", "hall", "--config", str(path)]) == 1
+    assert f"config {path}: top level must be an object" in capsys.readouterr().err
+
+
+def test_missing_horizon_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"family": "ad", "gamma0": 1.0, "lambda": 1.0}}))
+    assert main(["classify", "--config", str(path)]) == 1
+    assert "config error: run.horizon is required" in capsys.readouterr().err
+    assert main(["classify", "--config", str(path), "--horizon", "2", "--steps", "20"]) == 0
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -111,6 +119,18 @@ def test_model_error_exit_code(capsys):
     # invalid physical parameter: a > 1
     assert main(["classify", "cnot", "--a", "1.5", "--horizon", "5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+#: a C-NOT model whose maps are singular from t = 9.4 on
+SINGULAR = ["cnot", "--J", "1", "--gamma", "1", "--a", "0", "--horizon", "40", "--steps", "200"]
+
+
+def test_singular_times_are_reported(capsys):
+    assert main(["classify", *SINGULAR]) == 0
+    out = capsys.readouterr().out
+    assert "singular times: 9.4, 9.6, 9.8, 10, 10.2, 10.4, 10.6, 10.8 (+145 more)\n" in out
+    assert main(["rhp", *SINGULAR]) == 0
+    assert "singular steps skipped: 153\n" in capsys.readouterr().out
 
 
 def test_blp_and_rhp_commands(tmp_path, capsys):
@@ -170,6 +190,42 @@ def test_figure_budget_exceeded(tmp_path, capsys):
                  "--max-cells", "100"]) == 2
     assert "budget" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no partial files
+
+
+@pytest.mark.parametrize("command", ["blp", "sweep", "figure"])
+def test_unwritable_output_is_run_error(command, tmp_path, monkeypatch, capsys):
+    # a path under a regular file: makedirs fails before any temp file exists
+    small = [sweep.GridSpec(
+        family="ad", x=sweep.ParamRange("gamma0", 0.5, 1.0, 2),
+        y=sweep.ParamRange("lambda", 0.5, 1.0, 2), fixed={}, horizon=2.0, n_steps=20)]
+    monkeypatch.setattr(figures, "figure_specs", lambda name: small)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"blp": ["blp", "hall", "--steps", "50", "--out", str(blocker / "x.csv")],
+            "sweep": ["sweep", "--config", str(_tiny_sweep_config(tmp_path)),
+                      "--out", str(blocker / "s")],
+            "figure": ["figure", "fig3", "--out-dir", str(blocker / "d"), "--jobs", "1"]}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(blocker) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert blocker.read_text() == ""
+
+
+def test_fig1_fills_the_region_predicates(tmp_path):
+    written = figures.generate_figure("fig1", tmp_path, jobs=1)
+    assert sorted(p.name for p in written) == [
+        "fig1_g3_neg.csv", "fig1_g3_neg.svg", "fig1_g3_pos.csv", "fig1_g3_pos.svg"]
+    for spec, (sign, g3) in zip(figures.figure_specs("fig1"), (("pos", 0.5), ("neg", -0.5))):
+        assert (tmp_path / f"fig1_g3_{sign}.svg").read_text().startswith("<svg")
+        cells = sweep.parse_csv((tmp_path / f"fig1_g3_{sign}.csv").read_text())
+        points = [(g1, g2) for g2 in spec.y.values() for g1 in spec.x.values()]
+        assert len(cells) == len(points) == 101 * 101
+        for cell, (g1, g2) in zip(cells, points):
+            assert (cell.x, cell.y) == pytest.approx((g1, g2), abs=1e-9)
+            assert cell.pd_class == str(divisibility.constant_pauli_class(g1, g2, g3))
+            margin = min(abs(g1), abs(g2), abs(g3), abs(g1 + g2), abs(g2 + g3), abs(g3 + g1))
+            assert cell.near_boundary == (margin < 0.05)
 
 
 def test_figure_command_writes_files(tmp_path, monkeypatch):
@@ -509,11 +565,145 @@ def test_cli_run_defaults_match_the_library_defaults():
     assert run["detection"] == spec["detection"]
 
 
-def test_import_loads_no_scipy():
-    # numpy and jsonschema are the runtime dependencies; scipy serves the tests
+def test_import_loads_no_scipy_or_jsonschema():
+    # numpy is the one runtime dependency; scipy and jsonschema serve the tests
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, kdivis, kdivis.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    code = ("import sys, kdivis, kdivis.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('scipy', 'jsonschema')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out == "[]\n"
+
+
+def _config_error(cfg) -> str | None:
+    try:
+        cli.validate_config(cfg)
+    except cli.RunConfigError as exc:
+        return str(exc)
+    return None
+
+
+#: the value that makes :func:`_with` drop a key
+_DROP = object()
+
+
+def _with(cfg: dict, path: tuple, val) -> dict:
+    """A copy of ``cfg`` with the value at ``path`` replaced, or removed if ``val`` is _DROP."""
+    out = json.loads(json.dumps(cfg))
+    *parents, last = path
+    node = out
+    for key in parents:
+        node = node[key]
+    if val is _DROP:
+        del node[last]
+    else:
+        node[last] = val
+    return out
+
+
+#: the keys that hold an int; an integral float there is the one value the
+#: schema accepted and the flag table rejects
+INT_FIELDS = [("run", "steps"), ("run", "pairs"), ("run", "jobs"),
+              ("sweep", "x", "n"), ("sweep", "y", "n")]
+
+#: values tried at every key: each wrong kind, values at and below every
+#: bound, integral floats, non-finite floats, rate strings and choices
+PROBES = ["x", "", [1], [], True, False, None, {}, {"a": 1}, -1, 0, 1, 2, 3, 10**20,
+          -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan,
+          "const:1", "sin", "tanh-neg", "csv", "svg", "both", "pauli", "ad"]
+
+
+def _config_corpus():
+    """(config, path of an integral-float int key or None) pairs."""
+    base = {"model": {"family": "cnot", "J": 1.0, "gamma": 0.1, "a": 0.5},
+            "sweep": {"x": {"name": "gamma", "min": 0.01, "max": 1.0, "n": 3},
+                      "y": {"name": "a", "min": 0.0, "max": 1.0, "n": 3}},
+            "run": {"horizon": 2.0, "steps": 20, "pairs": 8, "detection": 1e-5,
+                    "epsilon": 0.01, "tolerance": 1e-9, "jobs": 2, "measures": True},
+            "output": {"path": "s", "format": "both", "dir": "d"}}
+    configs = [base, *cli.PRESETS.values()]
+    # the sweep configs the benchmark writes
+    for family, x, y, fixed, horizon in (
+            ("ad", ("gamma0", 0.05, 2.0), ("lambda", 0.1, 2.0), {}, 100.0),
+            ("cnot", ("gamma", 0.01, 1.0), ("a", 0.0, 1.0), {"J": 1.0}, 10.0),
+            ("superradiance", ("x", 0.05 * math.pi, 3.0 * math.pi), ("a", 0.0, 1.0),
+             {"gamma0": 1.0}, 10.0)):
+        configs.append({
+            "model": {"family": family, **fixed},
+            "sweep": {axis: {"name": name, "min": lo + 0.003, "max": hi - 0.01, "n": 41}
+                      for axis, (name, lo, hi) in (("x", x), ("y", y))},
+            "run": {"horizon": horizon, "steps": 500, "measures": True, "jobs": 2},
+            "output": {"path": "p/sweep-0", "format": "both"}})
+    for name, val in SETTING_VALUES.items():
+        block, _, key = name.partition(".")
+        configs.append({block: {key: val}})
+    # every key of every block: each probe value, and the key dropped
+    leaves = [("model", "family"), *(("run", key) for key in base["run"]),
+              *(("output", key) for key in base["output"]),
+              *(("sweep", axis, key) for axis in "xy" for key in base["sweep"][axis])]
+    bases = {path: base for path in leaves}
+    for name in cli.PRESETS:
+        model = cli.PRESETS[name]["model"]
+        for key in model.keys() - {"family"}:
+            bases[("model", key)] = {**base, "model": model}
+    for path, cfg in bases.items():
+        configs += [_with(cfg, path, val) for val in [*PROBES, _DROP]]
+    # unknown keys at every level; non-object, empty and missing blocks and axes
+    for path in [(), ("model",), ("sweep",), ("sweep", "x"), ("sweep", "y"), ("run",),
+                 ("output",)]:
+        configs.append(_with(base, (*path, "typo"), 1))
+        if path:
+            configs += [_with(base, path, val)
+                        for val in ["x", 3, 1.5, [], [1], None, True, {}, _DROP]]
+    configs += [{}, [], "x", 3, None, {"model": {"family": "pauli", "gamma0": 1.0}},
+                {"model": {"family": "ad", "g1": "sin", "J": 1.0}},
+                {"model": {"family": ["pauli"]}}, {"model": {"family": {"pauli": 1}}}]
+    return [(cfg, next((path for path in INT_FIELDS if _is_integral_float(_at(cfg, path))),
+                       None)) for cfg in configs]
+
+
+def _at(cfg, path: tuple):
+    for key in path:
+        if not isinstance(cfg, dict) or key not in cfg:
+            return None
+        cfg = cfg[key]
+    return cfg
+
+
+def _is_integral_float(val) -> bool:
+    return isinstance(val, float) and val.is_integer()
+
+
+def test_flag_table_check_matches_the_schema():
+    corpus = _config_corpus()
+    assert len(corpus) > 1000
+    judged = {"accepted": 0, "rejected": 0, "integral float": 0}
+    for cfg, int_path in corpus:
+        old, new = oracles.schema_config_error(cfg), _config_error(cfg)
+        if int_path is not None and old is None:
+            # the schema took 2.0 for an integer; the flag table wants an int
+            assert new is not None and new.startswith(f"config field {'/'.join(int_path)}: ")
+            judged["integral float"] += 1
+            continue
+        assert (old is None) == (new is None), (cfg, old, new)
+        if old is None:
+            judged["accepted"] += 1
+            continue
+        judged["rejected"] += 1
+        if old.startswith("config field "):
+            assert new.startswith("config field "), (cfg, old, new)
+        else:
+            assert new == old  # the family's parameter check
+    assert min(judged.values()) > 10, judged
+
+
+@pytest.mark.parametrize("path", INT_FIELDS, ids=lambda p: "/".join(p))
+def test_integral_float_for_an_int_is_config_error(path, tmp_path, capsys):
+    cfg = json.loads(_tiny_sweep_config(tmp_path).read_text())
+    cfg = _with(cfg, path, 2.0)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "s")]) == 1
+    assert f"config error: config field {'/'.join(path)}: 2.0 is not of type ['int']" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "s.csv").exists()
