@@ -3,9 +3,8 @@
 Subcommands: ``classify``, ``blp``, ``rhp``, ``sweep``, ``figure``. Runs are
 described by a JSON config (checked against the flag and parameter tables,
 unknown keys rejected), by a named preset, or by flags; flags override file
-values. Exit codes: 0 on success, 1 on config errors, 2 on model/run errors,
-an exceeded cell budget or an output that cannot be written. Output files
-are written atomically.
+values. Exit codes: 0 on success, 1 on config errors, 2 on model/run errors
+or an output that cannot be written. Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ _SETTINGS = (
              0, None, {"classify", "sweep"}),
     _Setting("--jobs", "run", "jobs",
              dict(type=int, metavar="N",
-                  help="worker processes (default: KDIVIS_JOBS or CPU count)"),
+                  help="worker processes (default: usable CPU count)"),
              1, None, {"sweep", "figure"}),
     # default None: an absent flag leaves the config's value in force
     _Setting("--measures", "run", "measures",
@@ -269,16 +268,6 @@ def _run_block(cfg: dict) -> dict:
     return run
 
 
-def _jobs(jobs: int | None) -> int:
-    """Worker count: ``jobs`` if set, else ``KDIVIS_JOBS`` or the CPU count."""
-    if jobs is not None:
-        return jobs
-    try:
-        return sweep.default_jobs()
-    except ValueError as exc:
-        raise RunConfigError(str(exc)) from exc
-
-
 def _series_csv(times, values) -> str:
     lines = ["t,value"]
     for t, v in zip(times, values):
@@ -359,12 +348,14 @@ def _cmd_sweep(args) -> int:
             tol=run["tolerance"], detection=run["detection"], n_pairs=run["pairs"])
     except ValueError as exc:
         raise RunConfigError(str(exc)) from exc
-    grid = sweep.run_sweep(spec, compute_measures=run["measures"], jobs=_jobs(run["jobs"]))
     output = _block(cfg, "output")
     # write_grid appends the suffixes, so only a .csv or .svg one comes off
     stem = output["path"]
     if stem.endswith((".csv", ".svg")):
         stem = stem[:-4]
+    # an unwritable directory fails here, before the first cell is evaluated
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
+    grid = sweep.run_sweep(spec, compute_measures=run["measures"], jobs=run["jobs"])
     for path in figures.write_grid(grid, stem, output["format"]):
         print(f"wrote {path}")
     return 0
@@ -381,8 +372,7 @@ def _cmd_figure(args) -> int:
         raise RunConfigError(f"figure does not read config key(s) {unread}")
     run, output = _block(cfg, "run"), _block(cfg, "output")
     for path in figures.generate_figure(
-            args.name, args.out_dir or output["dir"], fmt=output["format"],
-            jobs=_jobs(run["jobs"]), max_cells=args.max_cells):
+            args.name, args.out_dir or output["dir"], fmt=output["format"], jobs=run["jobs"]):
         print(f"wrote {path}")
     return 0
 
@@ -429,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a preset figure", allow_abbrev=False)
     p.add_argument("name", choices=figures.FIGURES)
     p.add_argument("--out-dir", metavar="DIR")
-    p.add_argument("--max-cells", type=int, metavar="N", default=500000)
     _add_flags(p, "figure")
     p.set_defaults(func=_cmd_figure)
 

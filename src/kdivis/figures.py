@@ -25,8 +25,7 @@ from pathlib import Path
 from . import divisibility, models, sweep
 from .errors import KdivisError
 
-__all__ = ["FIGURES", "FORMATS", "generate_figure", "write_grid", "atomic_write_text",
-           "CellBudgetExceeded"]
+__all__ = ["FIGURES", "FORMATS", "generate_figure", "write_grid", "atomic_write_text"]
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 FORMATS = ("csv", "svg", "both")
@@ -36,10 +35,6 @@ _FIG1_RANGE = (-1.0, 1.0)
 _FIG1_N = 101
 _FIG1_MARGIN = 0.05
 _FIG1_CHECK_STRIDE = 10
-
-
-class CellBudgetExceeded(KdivisError):
-    """A figure would evaluate more cells than the configured budget."""
 
 
 def atomic_write_text(path, text: str) -> Path:
@@ -152,21 +147,13 @@ def _fig1_cross_check(grid: sweep.PhaseDiagramGrid, g3: float) -> None:
                     f"g3={g3:g}): analytic {cell.pd_class}, numeric {verdict.pd_class}")
 
 
-def generate_figure(
-    name: str,
-    out_dir,
-    fmt: str = "both",
-    jobs: int | None = None,
-    max_cells: int | None = None,
-) -> list[Path]:
+def generate_figure(name: str, out_dir, fmt: str = "both", jobs: int | None = None) -> list[Path]:
     """Regenerate one figure; returns the written paths."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     specs = figure_specs(name)
-    total = sum(s.x.n * s.y.n for s in specs)
-    if max_cells is not None and total > max_cells:
-        raise CellBudgetExceeded(
-            f"{name} needs {total} cells, above the budget of {max_cells}")
+    # an unwritable directory fails here, before the first cell is evaluated
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     written = []
     for idx, spec in enumerate(specs):

@@ -225,6 +225,10 @@ class AmplitudeDampingModel:
 
     continued analytically (d imaginary) for ``gamma0 > lam/2``, where G has
     zeros and the time-local rate ``-2 Re(G'/G)`` turns negative in between.
+    It is evaluated as ``1/2 e^{-(lam-d) t/2} [(2 + E) - (lam/d) E]`` with
+    ``E = expm1(-d t)``: no exponent is positive, so G neither overflows
+    nor turns NaN at large ``d t``, where cosh overflows and the envelope
+    underflows.
     """
 
     family = "ad"
@@ -247,23 +251,23 @@ class AmplitudeDampingModel:
         t = np.asarray(t, dtype=float)
         d = self._d
         half = t / 2.0
-        envelope = np.exp(-self.lam * half)
         if abs(d) < 1e-8 * max(self.lam, 1.0):
-            val = envelope * (1.0 + self.lam * half)
+            val = np.exp(-self.lam * half) * (1.0 + self.lam * half)
         else:
-            val = (envelope * (np.cosh(d * half) + (self.lam / d) * np.sinh(d * half))).real
+            e = np.expm1(-d * t)
+            val = (0.5 * np.exp(-(self.lam - d) * half) * ((2.0 + e) - (self.lam / d) * e)).real
         return float(val) if np.isscalar(t) or t.ndim == 0 else val
 
     def survival_derivative(self, t):
-        """dG/dt in closed form."""
+        """dG/dt in closed form, ``(gamma0 lam / 2d) e^{-(lam-d) t/2} E``."""
         t = np.asarray(t, dtype=float)
         d = self._d
         half = t / 2.0
-        envelope = np.exp(-self.lam * half)
         if abs(d) < 1e-8 * max(self.lam, 1.0):
-            val = -self.gamma0 * self.lam * envelope * half
+            val = -self.gamma0 * self.lam * np.exp(-self.lam * half) * half
         else:
-            val = (-(self.gamma0 * self.lam / d) * envelope * np.sinh(d * half)).real
+            val = ((self.gamma0 * self.lam / (2.0 * d)) * np.exp(-(self.lam - d) * half)
+                   * np.expm1(-d * t)).real
         return float(val) if np.isscalar(t) or t.ndim == 0 else val
 
     def rate(self, t):

@@ -132,16 +132,10 @@ class CellResult:
 
 @dataclass(frozen=True)
 class PhaseDiagramGrid:
-    """Row-major cells (y outer, x inner) plus the spec that produced them.
+    """Row-major cells (y outer, x inner) plus the spec that produced them."""
 
-    Grids can also be assembled from bare cells (e.g. reparsed CSV) by
-    passing ``spec=None`` with an explicit layout.
-    """
-
-    spec: GridSpec | None
+    spec: GridSpec
     cells: list[CellResult]
-    nx: int | None = None
-    ny: int | None = None
 
     def __post_init__(self):
         n_y, n_x = self.shape()
@@ -149,11 +143,7 @@ class PhaseDiagramGrid:
             raise ValueError("cell count does not match the grid dimensions")
 
     def shape(self) -> tuple[int, int]:
-        if self.spec is not None:
-            return self.spec.y.n, self.spec.x.n
-        if self.nx is None or self.ny is None:
-            raise ValueError("grid needs either a spec or an explicit layout")
-        return self.ny, self.nx
+        return self.spec.y.n, self.spec.x.n
 
     def cell(self, ix: int, iy: int) -> CellResult:
         n_y, n_x = self.shape()
@@ -171,17 +161,10 @@ class PhaseDiagramGrid:
 
 
 def default_jobs() -> int:
-    """Worker count from ``KDIVIS_JOBS``, else the CPUs this process may run
-    on; ``ValueError`` when the variable is set to anything but an integer
-    >= 1."""
-    env = os.environ.get("KDIVIS_JOBS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):  # a taskset or cpuset pin counts
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"KDIVIS_JOBS must be an integer >= 1, got {env!r}")
-    return int(env)
+    """Worker count: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # a taskset or cpuset pin counts
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
@@ -337,21 +320,10 @@ def encode_svg(grid: PhaseDiagramGrid) -> str:
     """
     spec = grid.spec
     n_y, n_x = grid.shape()
-    if spec is not None:
-        x_name, y_name = spec.x.name, spec.y.name
-        x_lo, x_hi = spec.x.lo, spec.x.hi
-        y_lo, y_hi = spec.y.lo, spec.y.hi
-        title = f"{spec.family}: {x_name} vs {y_name}"
-        fixed = ", ".join(f"{k}={v}" for k, v in sorted(spec.fixed.items()))
-        if fixed:
-            title += f"  ({fixed})"
-    else:
-        x_name, y_name = "x", "y"
-        xs = [c.x for c in grid.cells]
-        ys = [c.y for c in grid.cells]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        title = "phase diagram"
+    title = f"{spec.family}: {spec.x.name} vs {spec.y.name}"
+    fixed = ", ".join(f"{k}={v}" for k, v in sorted(spec.fixed.items()))
+    if fixed:
+        title += f"  ({fixed})"
     cw = _PLOT_W / n_x
     ch = _PLOT_H / n_y
     left, top = _MARGIN["left"], _MARGIN["top"]
@@ -380,14 +352,15 @@ def encode_svg(grid: PhaseDiagramGrid) -> str:
                f'height="{_PLOT_H:.1f}" fill="none" stroke="black" stroke-width="1"/>')
     bottom_y = top + _PLOT_H
     out.append(f'<text x="{left + _PLOT_W / 2:.1f}" y="{bottom_y + 40:.1f}" '
-               f'font-family="sans-serif" font-size="14" text-anchor="middle">{x_name}</text>')
+               f'font-family="sans-serif" font-size="14" text-anchor="middle">'
+               f'{spec.x.name}</text>')
     out.append(f'<text x="20" y="{top + _PLOT_H / 2:.1f}" font-family="sans-serif" '
                f'font-size="14" text-anchor="middle" '
-               f'transform="rotate(-90 20 {top + _PLOT_H / 2:.1f})">{y_name}</text>')
-    for val, px in ((x_lo, left + cw / 2), (x_hi, left + _PLOT_W - cw / 2)):
+               f'transform="rotate(-90 20 {top + _PLOT_H / 2:.1f})">{spec.y.name}</text>')
+    for val, px in ((spec.x.lo, left + cw / 2), (spec.x.hi, left + _PLOT_W - cw / 2)):
         out.append(f'<text x="{px:.1f}" y="{bottom_y + 18:.1f}" font-family="sans-serif" '
                    f'font-size="12" text-anchor="middle">{val:.6g}</text>')
-    for val, py in ((y_lo, bottom_y - ch / 2), (y_hi, top + ch / 2)):
+    for val, py in ((spec.y.lo, bottom_y - ch / 2), (spec.y.hi, top + ch / 2)):
         out.append(f'<text x="{left - 8:.1f}" y="{py + 4:.1f}" font-family="sans-serif" '
                    f'font-size="12" text-anchor="end">{val:.6g}</text>')
 
@@ -419,7 +392,7 @@ def _blp_contour_segments(grid: PhaseDiagramGrid) -> list[tuple]:
     cells = grid.cells
     if all(c.blp is None for c in cells):
         return []
-    thr = grid.spec.detection if grid.spec is not None else config.DEFAULT.detection
+    thr = grid.spec.detection
     pd0 = [c for c in cells if c.pd_class == "PD0" and c.blp is not None]
     detected = [c for c in pd0 if c.blp > thr]
     undetected = [c for c in pd0 if c.blp <= thr]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -185,31 +186,76 @@ def test_sweep_command(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_figure_budget_exceeded(tmp_path, capsys):
-    assert main(["figure", "fig3", "--out-dir", str(tmp_path),
-                 "--max-cells", "100"]) == 2
-    assert "budget" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []  # no partial files
+#: (family, x axis, y axis, cells) of each preset sweep
+PRESET_FIGURES = {
+    "fig1": [("pauli", ("g1", -1.0, 1.0, 101), ("g2", -1.0, 1.0, 101), 101 * 101)] * 2,
+    "fig2": [("cnot", ("gamma", 0.01, 1.0, 41), ("a", 0.0, 1.0, 41), 41 * 41)],
+    "fig3": [("ad", ("gamma0", 0.05, 2.0, 101), ("lambda", 0.1, 2.0, 101), 101 * 101)],
+    "fig4": [("superradiance", ("x", 0.05 * math.pi, 3.0 * math.pi, 60), ("a", 0.0, 1.0, 41),
+              60 * 41)],
+}
+
+
+def test_preset_figures_keep_their_families_axes_and_sizes():
+    # the specs are built, not swept; the largest preset has 20402 cells
+    assert sorted(PRESET_FIGURES) == sorted(figures.FIGURES)
+    for name, expected in PRESET_FIGURES.items():
+        specs = figures.figure_specs(name)
+        assert [(s.family, dataclasses.astuple(s.x), dataclasses.astuple(s.y), s.x.n * s.y.n)
+                for s in specs] == expected
+    assert [s.fixed for s in figures.figure_specs("fig1")] == [{"g3": "const:0.5"},
+                                                               {"g3": "const:-0.5"}]
+    # fig4 puts x = pi, 2 pi and 3 pi, where the single atom is Markovian, on grid columns
+    xs = figures.figure_specs("fig4")[0].x.values()
+    for k in (1, 2, 3):
+        assert np.abs(xs - k * math.pi).min() <= 2 * np.spacing(k * math.pi)
 
 
 @pytest.mark.parametrize("command", ["blp", "sweep", "figure"])
 def test_unwritable_output_is_run_error(command, tmp_path, monkeypatch, capsys):
-    # a path under a regular file: makedirs fails before any temp file exists
-    small = [sweep.GridSpec(
-        family="ad", x=sweep.ParamRange("gamma0", 0.5, 1.0, 2),
-        y=sweep.ParamRange("lambda", 0.5, 1.0, 2), fixed={}, horizon=2.0, n_steps=20)]
-    monkeypatch.setattr(figures, "figure_specs", lambda name: small)
+    # a path under a regular file: makedirs fails before any temp file exists,
+    # and sweep and figure fail so before the first cell is evaluated
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was evaluated before the output directory was made")
+
+    monkeypatch.setattr(sweep, "run_sweep", no_cells)
     blocker = tmp_path / "file"
     blocker.write_text("")
     argv = {"blp": ["blp", "hall", "--steps", "50", "--out", str(blocker / "x.csv")],
             "sweep": ["sweep", "--config", str(_tiny_sweep_config(tmp_path)),
                       "--out", str(blocker / "s")],
-            "figure": ["figure", "fig3", "--out-dir", str(blocker / "d"), "--jobs", "1"]}
+            "figure": ["figure", "fig3", "--out-dir", str(blocker / "d"), "--jobs", "2"]}
     assert main(argv[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and str(blocker) in err
     assert not list(tmp_path.rglob("*.tmp"))
     assert blocker.read_text() == ""
+
+
+def test_fig1_cross_check_disagreement_is_run_error(tmp_path, monkeypatch, capsys):
+    # an analytic fill that paints everything PD2 disagrees with the numeric
+    # classifier at the first checked cell, (g1, g2) = (-1, -1), which is PD0
+    monkeypatch.setattr(divisibility, "constant_pauli_class",
+                        lambda g1, g2, g3: divisibility.DivisibilityClass.PD2)
+    assert main(["figure", "fig1", "--out-dir", str(tmp_path / "figs")]) == 2
+    err = capsys.readouterr().err
+    assert "error: numeric cross-check failed at (g1=-1, g2=-1, g3=0.5)" in err
+    assert "analytic PD2, numeric PD0" in err
+    assert list((tmp_path / "figs").iterdir()) == []
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        figures.atomic_write_text(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
 
 
 def test_fig1_fills_the_region_predicates(tmp_path):
@@ -453,26 +499,6 @@ def test_non_finite_config_literal_is_config_error(literal, tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == 1
     assert f"{literal} is not a finite number" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
-
-
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
-def test_malformed_kdivis_jobs_is_config_error(value, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KDIVIS_JOBS", value)
-    cfg = {"model": {"family": "ad"},
-           "sweep": {"x": {"name": "gamma0", "min": 0.5, "max": 1.0, "n": 2},
-                     "y": {"name": "lambda", "min": 0.5, "max": 1.0, "n": 2}},
-           "run": {"horizon": 2.0, "steps": 20},
-           "output": {"path": str(tmp_path / "s")}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    for argv in (["sweep", "--config", str(path)],
-                 ["figure", "fig1", "--out-dir", str(tmp_path / "figs")]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and "KDIVIS_JOBS" in err
-    assert list(tmp_path.iterdir()) == [path]  # nothing written
-    # an explicit worker count does not read the variable
-    assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
 
 
 def _tiny_sweep_config(tmp_path):

@@ -8,6 +8,7 @@ from conftest import one_step_grid, one_step_maps
 import oracles
 from kdivis import divisibility, measures, models, qmat
 from kdivis.divisibility import DivisibilityClass
+from kdivis.errors import AllStepsSingular
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,14 @@ def test_rhp_measure_small_for_pd2_models():
                            (models.AmplitudeDampingModel(0.3, 1.0), 10.0),
                            (models.CnotControlModel(1.0, 0.2, 0.0), 10.0)):
         assert measures.rhp_measure(model, horizon).measure <= 1e-6
+
+
+def test_rhp_measure_raises_when_every_step_is_singular():
+    # step 0 starts at the identity, so only an overflow leaves no step to
+    # integrate: rates of -1e6 push every eigenvalue past the float range
+    model = models.PauliChannelModel.constant(-1e6, -1e6, -1e6)
+    with np.errstate(over="ignore"), pytest.raises(AllStepsSingular):
+        measures.rhp_measure(model, 10.0, 20)
 
 
 def test_rhp_hall_eternal_positive_everywhere():

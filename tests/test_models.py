@@ -5,7 +5,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 import oracles
-from kdivis import config, models, qmat
+from kdivis import config, divisibility, measures, models, qmat
 
 
 def _is_tp(e, tol=1e-8):
@@ -165,11 +165,12 @@ def test_survival_amplitude_against_ode(gamma0, lam):
 
 
 def test_survival_derivative_matches_finite_differences():
-    model = models.AmplitudeDampingModel(1.5, 0.8)
     h = 1e-6
-    for t in (0.3, 1.1, 4.0):
-        fd = (model.survival(t + h) - model.survival(t - h)) / (2 * h)
-        assert_allclose(model.survival_derivative(t), fd, atol=1e-7)
+    # (0.5, 1.0) is the critical case d = 0
+    for model in (models.AmplitudeDampingModel(1.5, 0.8), models.AmplitudeDampingModel(0.5, 1.0)):
+        for t in (0.3, 1.1, 4.0):
+            fd = (model.survival(t + h) - model.survival(t - h)) / (2 * h)
+            assert_allclose(model.survival_derivative(t), fd, atol=1e-7)
 
 
 def test_ad_propagator_identity_at_zero():
@@ -210,6 +211,25 @@ def test_ad_boundary_case_survival_finite():
     model = models.AmplitudeDampingModel(0.5, 1.0)  # d = 0 exactly
     ts = np.linspace(0.0, 5.0, 11)
     assert_allclose(model.survival(ts), _survival_ode_oracle(0.5, 1.0, ts), atol=1e-8)
+
+
+def test_ad_survival_stays_finite_at_large_lambda_t():
+    # Markovian, with d t/2 past 710 from t = 72 on: there cosh(d t/2)
+    # overflows and e^{-lam t/2} underflows, so the cosh/sinh form is NaN
+    gamma0, lam = 0.1, 20.0
+    model = models.AmplitudeDampingModel(gamma0, lam)
+    ts = np.linspace(0.0, 100.0, 501)
+    d = np.sqrt(lam * lam - 2.0 * gamma0 * lam)
+    slow, fast = np.exp(-0.5 * (lam - d) * ts), np.exp(-0.5 * (lam + d) * ts)
+    assert_allclose(model.survival(ts), 0.5 * ((1 + lam / d) * slow + (1 - lam / d) * fast),
+                    rtol=1e-12)
+    assert_allclose(model.survival_derivative(ts), 0.5 * gamma0 * lam / d * (fast - slow),
+                    rtol=1e-12, atol=1e-300)
+    assert_allclose(model.survival(72.0), 0.02715, rtol=1e-3)
+    verdict = divisibility.classify(model, 100.0, 500)
+    assert verdict.pd_class == divisibility.DivisibilityClass.PD2
+    assert verdict.singular_times == []
+    assert np.isfinite(measures.blp_measure(model, 100.0, 500).measure)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +293,9 @@ def test_model_validation():
         models.SuperradianceModel(1.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         models.AmplitudeDampingModel(0.0, 1.0)
+    for a in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
+            models.SuperradianceModel(1.0, 1.0, a)
 
 
 @pytest.mark.parametrize("family, name", [
@@ -613,6 +636,8 @@ def test_model_params_round_trip():
         assert rebuilt == model
         assert np.array_equal(models.propagator_grid(rebuilt, 6.0, 60).bloch,
                               models.propagator_grid(model, 6.0, 60).bloch)
+    with pytest.raises(TypeError, match="unsupported model type object"):
+        models.model_params(object())
 
 
 def test_model_from_params_names_missing_and_unknown_parameters():

@@ -190,8 +190,15 @@ def _cell(x, y, cls="PD2", nb=False, blp=None, rhp=None, sing=0):
     return CellResult(x, y, cls, nb, blp, rhp, sing)
 
 
+def _grid(cells, nx, ny):
+    """``cells`` laid out on a small ad spec of ``nx`` by ``ny`` points."""
+    spec = _tiny_ad_spec(x=ParamRange("gamma0", 0.1, 1.5, nx),
+                         y=ParamRange("lambda", 0.4, 1.6, ny))
+    return PhaseDiagramGrid(spec=spec, cells=cells)
+
+
 def test_encode_csv_all_pd2():
-    grid = PhaseDiagramGrid(spec=None, nx=2, ny=2, cells=[
+    grid = _grid(nx=2, ny=2, cells=[
         _cell(0.0, 0.0), _cell(1.0, 0.0), _cell(0.0, 1.0), _cell(1.0, 1.0)])
     text = sweep.encode_csv(grid)
     lines = text.strip().splitlines()
@@ -201,8 +208,8 @@ def test_encode_csv_all_pd2():
 
 
 def test_encode_csv_err_cell():
-    grid = PhaseDiagramGrid(spec=None, nx=2, ny=1, cells=[
-        _cell(0.0, 0.0, "ERR"), _cell(1.0, 0.0)])
+    grid = _grid(nx=2, ny=2, cells=[
+        _cell(0.0, 0.0, "ERR"), _cell(1.0, 0.0), _cell(0.0, 1.0), _cell(1.0, 1.0)])
     assert "ERR" in sweep.encode_csv(grid)
 
 
@@ -213,7 +220,7 @@ def test_csv_round_trip_known_grid():
         _cell(0.05, 2.0, "ERR", False, None, None, 0),
         _cell(2.0, 2.0, "PD1", False, None, 4.2, 1),
     ]
-    grid = PhaseDiagramGrid(spec=None, nx=2, ny=2, cells=cells)
+    grid = _grid(cells, nx=2, ny=2)
     parsed = sweep.parse_csv(sweep.encode_csv(grid))
     for orig, new in zip(cells, parsed):
         assert new.pd_class == orig.pd_class
@@ -233,11 +240,12 @@ def test_csv_round_trip_known_grid():
         st.one_of(st.none(), st.floats(0, 1e3, allow_nan=False)),
         st.integers(0, 500),
     ),
-    min_size=1, max_size=12))
+    min_size=4, max_size=12))
 def test_csv_round_trip_property(rows):
+    # two rows of cells: a spec axis has at least two points
     cells = [CellResult(x, y, cls, nb, blp, blp, sing)
-             for (x, y, cls, nb, blp, sing) in rows]
-    grid = PhaseDiagramGrid(spec=None, nx=len(cells), ny=1, cells=cells)
+             for (x, y, cls, nb, blp, sing) in rows[:len(rows) // 2 * 2]]
+    grid = _grid(cells, nx=len(cells) // 2, ny=2)
     parsed = sweep.parse_csv(sweep.encode_csv(grid))
     assert len(parsed) == len(cells)
     for orig, new in zip(cells, parsed):
@@ -250,6 +258,9 @@ def test_csv_round_trip_property(rows):
 def test_parse_csv_rejects_garbage():
     with pytest.raises(ValueError):
         sweep.parse_csv("hello,world\n1,2\n")
+    header = "x,y,class,near_boundary,blp,rhp,singular_count"
+    with pytest.raises(ValueError, match="malformed row: '0.5,1,PD2,0,,'"):
+        sweep.parse_csv(f"{header}\n0.5,1,PD2,0,,,0\n0.5,1,PD2,0,,\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +269,8 @@ def test_parse_csv_rejects_garbage():
 
 def test_svg_single_red_rect_for_pd0():
     import re
-    grid = PhaseDiagramGrid(spec=None, nx=1, ny=1, cells=[_cell(0.0, 0.0, "PD0")])
+    grid = _grid(nx=2, ny=2, cells=[
+        _cell(0.0, 0.0, "PD0"), _cell(1.0, 0.0), _cell(0.0, 1.0), _cell(1.0, 1.0)])
     svg = sweep.encode_svg(grid)
     # exactly one cell rect (the legend swatch carries a stroke attribute)
     cell_rects = re.findall(rf'<rect [^>]*fill="{sweep.PALETTE["PD0"]}"/>', svg)
@@ -267,7 +279,7 @@ def test_svg_single_red_rect_for_pd0():
 
 
 def test_svg_mixed_grid_uses_per_class_fills():
-    grid = PhaseDiagramGrid(spec=None, nx=2, ny=2, cells=[
+    grid = _grid(nx=2, ny=2, cells=[
         _cell(0, 0, "PD0"), _cell(1, 0, "PD1"),
         _cell(0, 1, "PD2"), _cell(1, 1, "ERR")])
     svg = sweep.encode_svg(grid)
@@ -282,7 +294,7 @@ def test_svg_contour_present_iff_pd0_split_by_threshold():
             for ix in range(3):
                 cells.append(_cell(float(ix), float(iy), "PD0",
                                    blp=values[iy][ix], rhp=1.0))
-        return PhaseDiagramGrid(spec=None, nx=3, ny=2, cells=cells)
+        return _grid(cells, nx=3, ny=2)
 
     # threshold 1e-5 splits the PD0 cells: dashed contour appears
     split = grid_with_blp([[1e-8, 1e-8, 1e-2], [1e-8, 1e-3, 1e-2]])
@@ -291,8 +303,8 @@ def test_svg_contour_present_iff_pd0_split_by_threshold():
     detected = grid_with_blp([[1e-2, 1e-2, 1e-2], [1e-2, 1e-2, 1e-2]])
     assert "stroke-dasharray" not in sweep.encode_svg(detected)
     # no measures at all: no contour
-    bare = PhaseDiagramGrid(spec=None, nx=2, ny=1,
-                            cells=[_cell(0, 0, "PD0"), _cell(1, 0, "PD0")])
+    bare = _grid(nx=2, ny=2, cells=[_cell(0, 0, "PD0"), _cell(1, 0, "PD0"),
+                                    _cell(0, 1, "PD0"), _cell(1, 1, "PD0")])
     assert "stroke-dasharray" not in sweep.encode_svg(bare)
 
 
@@ -307,21 +319,9 @@ def test_marching_squares_simple_field():
     assert sweep._marching_squares(field_nan, 0.5) == []
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("KDIVIS_JOBS", "3")
-    assert sweep.default_jobs() == 3
-    # anything but an integer >= 1 is an error, never a silent substitute
-    for bad in ("junk", "0", "-3", "2.5"):
-        monkeypatch.setenv("KDIVIS_JOBS", bad)
-        with pytest.raises(ValueError, match="KDIVIS_JOBS"):
-            sweep.default_jobs()
-    monkeypatch.delenv("KDIVIS_JOBS")
-    assert sweep.default_jobs() >= 1
-
-
 def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch):
     # a process pinned to two of eight CPUs starts two workers, not eight
-    monkeypatch.delenv("KDIVIS_JOBS", raising=False)
+    assert sweep.default_jobs() >= 1
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
     assert sweep.default_jobs() == 2
