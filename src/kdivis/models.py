@@ -77,6 +77,9 @@ def _log_cosh(t):
 #: constructor of each named rate in the vocabulary
 _RATE_NAMES = {"tanh-neg": "tanh_neg", "sin": "sine", "sin-neg": "sine_neg"}
 
+#: largest x with a finite float64 exp(x)
+_EXP_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class RateFn:
@@ -195,13 +198,21 @@ class PauliChannelModel:
     def bloch_eigenvalues(self, times) -> np.ndarray:
         """Bloch scaling factors ``lambda_j(t) = exp(-Gamma_k - Gamma_l)``,
         ``(j, k, l)`` cyclic, on a sorted time grid; shape ``(len(times), 3)``.
+
+        Raises ``ValueError`` at the first time where a pair of rates
+        integrates so far below zero that ``lambda_j`` overflows float64.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         gam = np.stack([g.integrals_on_grid(times) for g in self.rates], axis=1)
         lam = np.empty_like(gam)
         for j, (k, l) in enumerate(((1, 2), (2, 0), (0, 1))):
-            lam[:, j] = np.exp(-(gam[:, k] + gam[:, l]))
-        return lam
+            lam[:, j] = -(gam[:, k] + gam[:, l])
+        over = (lam > _EXP_MAX).any(axis=1)
+        if over.any():
+            raise ValueError(
+                f"Bloch eigenvalue overflows float64 from t = {times[over.argmax()]:.6g}: "
+                f"a pair of rates integrates below -{_EXP_MAX:.1f}")
+        return np.exp(lam, out=lam)
 
     def bloch_form(self, times) -> np.ndarray:
         """Bloch rows ``(d_x, d_y, d_z, c_z)`` of ``E_t`` on a sorted time

@@ -1,17 +1,28 @@
 """Parallel two-parameter sweeps producing phase-diagram data.
 
-Cells are independent pure computations. Rows are statically partitioned
-over workers and reassembled in row-major order, so the output is identical
-for any worker count; a cell that fails records an ERR marker instead of
-aborting the sweep.
+Cells are independent pure computations. Each grid row is one task of a
+process pool, and the order-preserving ``pool.map`` returns the rows in
+row-major order, so the output is identical for any worker count; a cell
+that fails records an ERR marker instead of aborting the sweep.
+
+The process keeps one pool. The first sweep with ``jobs > 1`` starts it,
+and later sweeps with the same worker count reuse it; a different count,
+or a worker that died, replaces it. Its workers start with it; under the
+fork start method (the Linux default before Python 3.14) they keep the
+package state of that moment. They exit with the interpreter, or within
+a second of its death by a signal.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -192,15 +203,52 @@ def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
                           singular_count=0, error=str(exc) or type(exc).__name__)
 
 
-def _sweep_rows(args) -> list[CellResult]:
-    spec, iy_list, compute_measures = args
-    xs = spec.x.values()
-    ys = spec.y.values()
-    out = []
-    for iy in iy_list:
-        for xv in xs:
-            out.append(_evaluate_cell(spec, xv, ys[iy], compute_measures))
-    return out
+def _sweep_row(spec: GridSpec, iy: int, compute_measures: bool) -> list[CellResult]:
+    yv = spec.y.values()[iy]
+    return [_evaluate_cell(spec, xv, yv, compute_measures) for xv in spec.x.values()]
+
+
+#: the process's worker pool and its worker count, set by the first sweep
+#: with jobs > 1; concurrent.futures joins the pool at interpreter exit
+_pool: ProcessPoolExecutor | None = None
+_pool_jobs = 0
+_pool_lock = threading.Lock()
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer: exit once the process that started the worker is
+    gone. A signal that kills it skips the exit hook, and an idle worker
+    would otherwise wait for tasks forever."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The pool of ``jobs`` workers, started or resized as needed."""
+    global _pool, _pool_jobs
+    with _pool_lock:
+        if _pool is not None and _pool_jobs != jobs:
+            _pool.shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=jobs, initializer=_exit_with_parent)
+            _pool_jobs = jobs
+        return _pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut down a broken ``pool``; the next sweep starts a fresh one."""
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    pool.shutdown()
 
 
 def run_sweep(
@@ -208,21 +256,27 @@ def run_sweep(
     compute_measures: bool = False,
     jobs: int | None = None,
 ) -> PhaseDiagramGrid:
-    """Evaluate every grid cell; deterministic regardless of ``jobs``."""
+    """Evaluate every grid cell; deterministic regardless of ``jobs``.
+
+    ``jobs`` is capped at the row count. One job runs in this process;
+    more send one row per task to the process's reused worker pool (see
+    the module docstring). A worker that dies raises ``BrokenProcessPool``,
+    and the next sweep runs on a fresh pool.
+    """
     if jobs is None:
         jobs = default_jobs()
     jobs = max(1, min(int(jobs), spec.y.n))
-    row_ids = list(range(spec.y.n))
+    rows = range(spec.y.n)
     if jobs == 1:
-        cells = _sweep_rows((spec, row_ids, compute_measures))
+        parts = [_sweep_row(spec, iy, compute_measures) for iy in rows]
     else:
-        chunk = math.ceil(len(row_ids) / jobs)
-        batches = [row_ids[i:i + chunk] for i in range(0, len(row_ids), chunk)]
-        args = [(spec, batch, compute_measures) for batch in batches]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_rows, args))
-        cells = [c for part in parts for c in part]
-    return PhaseDiagramGrid(spec=spec, cells=cells)
+        pool = _worker_pool(jobs)
+        try:
+            parts = list(pool.map(_sweep_row, repeat(spec), rows, repeat(compute_measures)))
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
+    return PhaseDiagramGrid(spec=spec, cells=[c for part in parts for c in part])
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,33 @@ def test_model_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_overflowing_pauli_model_is_run_error(capsys):
+    argv = ["classify", "pauli", "--g1", "-100", "--g2", "1", "--g3", "1",
+            "--horizon", "10", "--steps", "20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Bloch eigenvalue overflows float64 from t = 7.5:")
+
+
+def test_negative_exponent_form_value_takes_the_equals_form(monkeypatch, capsys):
+    # argparse reads "-1e-3" after a space as a flag, not as a negative number
+    argv = ["classify", "pauli", "--g2", "1", "--g3", "1", "--horizon", "2", "--steps", "20"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--g1", "-1e-3"])
+    assert exc.value.code == 2
+    assert "--g1: expected one argument" in capsys.readouterr().err
+    seen = []
+    classify = divisibility.classify
+    monkeypatch.setattr(cli.divisibility, "classify",
+                        lambda model, *args: seen.append(model) or classify(model, *args))
+    assert main([*argv, "--g1=-1e-3"]) == 0
+    assert seen[0].g1 == models.RateFn.constant(-1e-3)
+    assert seen[0].g1(0.5) == -1e-3
+    assert main([*argv, "--g1", "-0.001"]) == 0
+    assert seen[1] == seen[0]
+
+
 #: a C-NOT model whose maps are singular from t = 9.4 on
 SINGULAR = ["cnot", "--J", "1", "--gamma", "1", "--a", "0", "--horizon", "40", "--steps", "200"]
 

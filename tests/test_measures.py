@@ -177,12 +177,14 @@ def test_rhp_measure_small_for_pd2_models():
         assert measures.rhp_measure(model, horizon).measure <= 1e-6
 
 
-def test_rhp_measure_raises_when_every_step_is_singular():
-    # step 0 starts at the identity, so only an overflow leaves no step to
-    # integrate: rates of -1e6 push every eigenvalue past the float range
-    model = models.PauliChannelModel.constant(-1e6, -1e6, -1e6)
-    with np.errstate(over="ignore"), pytest.raises(AllStepsSingular):
-        measures.rhp_measure(model, 10.0, 20)
+def test_rhp_measure_raises_when_every_step_is_singular(monkeypatch):
+    # step 0 starts at the identity, so only maps that are not finite from
+    # the first step on leave no step to integrate. A Pauli model raises
+    # before its eigenvalues overflow, so the grid's are patched to +inf
+    monkeypatch.setattr(models.PauliChannelModel, "bloch_eigenvalues",
+                        lambda self, times: np.where(times[:, None] > 0.0, np.inf, np.ones(3)))
+    with pytest.raises(AllStepsSingular):
+        measures.rhp_measure(models.PauliChannelModel.hall(), 10.0, 20)
 
 
 def test_rhp_hall_eternal_positive_everywhere():

@@ -232,6 +232,17 @@ def test_ad_survival_stays_finite_at_large_lambda_t():
     assert np.isfinite(measures.blp_measure(model, 100.0, 500).measure)
 
 
+def test_pauli_eigenvalue_overflow_names_its_first_time():
+    # lambda_2 = lambda_3 = e^{99 t}: finite up to t = 7, past float64 at t = 7.5
+    model = models.PauliChannelModel.constant(-100.0, 1.0, 1.0)
+    ts = np.linspace(0.0, 10.0, 21)
+    assert_allclose(model.bloch_eigenvalues(ts[:15])[:, 1], np.exp(99.0 * ts[:15]), rtol=1e-12)
+    with pytest.raises(ValueError, match=r"overflows float64 from t = 7\.5:"):
+        model.bloch_eigenvalues(ts)
+    with pytest.raises(ValueError, match="overflows"):
+        divisibility.classify(model, 10.0, 20)
+
+
 # ---------------------------------------------------------------------------
 # composite models
 # ---------------------------------------------------------------------------

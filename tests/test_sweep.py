@@ -1,4 +1,13 @@
+import contextlib
+import dataclasses
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +173,25 @@ def test_sweep_records_errors_per_cell():
     assert err_cell.error
 
 
+def test_sweep_paints_an_overflowing_pauli_cell_err_with_its_reason():
+    # g1 = -100 puts lambda_2 and lambda_3 = e^{99 t} past float64 at t = 7.5
+    spec = GridSpec(
+        family="pauli",
+        x=ParamRange("g1", -100.0, 1.0, 2),
+        y=ParamRange("g2", 0.5, 1.0, 2),
+        fixed={"g3": 1.0},
+        horizon=10.0,
+        n_steps=20,
+    )
+    grid = sweep.run_sweep(spec, compute_measures=True, jobs=1)
+    classes = grid.classes()
+    assert (classes[:, 0] == "ERR").all()
+    assert (classes[:, 1] != "ERR").all()
+    for iy in range(2):
+        assert grid.cell(0, iy).error.startswith(
+            "Bloch eigenvalue overflows float64 from t = 7.5:")
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     # only physical and numerical failures become ERR cells; a TypeError is
     # a bug and must stop the sweep instead of painting a white cell
@@ -327,3 +355,135 @@ def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch):
     assert sweep.default_jobs() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert sweep.default_jobs() == 8
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+
+class _PidSpec(GridSpec):
+    """Every cell is ERR, with the PID of the process that evaluated it as
+    its reason."""
+
+    def cell_model(self, xv, yv):
+        raise ValueError(str(os.getpid()))
+
+
+class _ExitingSpec(GridSpec):
+    """The process that evaluates a cell exits at once."""
+
+    def cell_model(self, xv, yv):
+        os._exit(3)
+
+
+def _pid_spec(cls=_PidSpec):
+    return cls(**{f.name: getattr(_tiny_ad_spec(), f.name) for f in dataclasses.fields(GridSpec)})
+
+
+def _cell_pids(grid) -> set:
+    return {int(c.error) for c in grid.cells}
+
+
+def _workers() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie, dead but not yet reaped, does not."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _assert_gone(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_sweeps_with_the_same_worker_count_reuse_one_pool():
+    spec = _pid_spec()
+    first = sweep.run_sweep(spec, jobs=2)
+    workers = _workers()
+    assert len(workers) == 2
+    second = sweep.run_sweep(spec, jobs=2)
+    assert _workers() == workers
+    assert _cell_pids(first) | _cell_pids(second) <= workers
+    # one job runs in this process and leaves the pool alone
+    assert _cell_pids(sweep.run_sweep(spec, jobs=1)) == {os.getpid()}
+    assert _workers() == workers
+
+
+def test_a_new_worker_count_replaces_the_pool():
+    spec = _pid_spec()
+    sweep.run_sweep(spec, jobs=2)
+    old = _workers()
+    grid = sweep.run_sweep(spec, jobs=3)
+    new = _workers()
+    assert len(new) == 3 and not old & new
+    assert _cell_pids(grid) <= new
+    _assert_gone(old)
+
+
+def test_a_dead_worker_breaks_its_sweep_and_the_next_runs_on_a_fresh_pool():
+    spec = _pid_spec()
+    sweep.run_sweep(spec, jobs=2)
+    old = _workers()
+    with pytest.raises(BrokenProcessPool):
+        sweep.run_sweep(_pid_spec(_ExitingSpec), jobs=2)
+    _assert_gone(old)
+    grid = sweep.run_sweep(spec, jobs=2)
+    new = _workers()
+    assert len(new) == 2 and not old & new
+    assert _cell_pids(grid) <= new
+
+
+#: a fresh interpreter's jobs=2 sweep; prints the worker PIDs
+_SWEEP_SCRIPT = """\
+import multiprocessing
+from kdivis import sweep
+spec = sweep.GridSpec("ad", sweep.ParamRange("gamma0", 0.1, 1.5, 3),
+                      sweep.ParamRange("lambda", 0.4, 1.6, 4), {}, 10.0, 20)
+sweep.run_sweep(spec, jobs=2)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+"""
+
+
+def _run_script(code: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], stdout=stdout,
+                          stderr=stderr, text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_workers_exit_with_the_interpreter():
+    proc = _run_script(_SWEEP_SCRIPT)
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert proc.stderr == ""
+    _assert_gone(pids)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+def test_workers_exit_after_an_interpreter_killed_between_sweeps(tmp_path):
+    # os._exit skips the exit hook, as SIGTERM and SIGKILL do. The output
+    # goes to files: the workers inherit them, and a pipe left open by a
+    # worker would keep subprocess.run waiting
+    out, err = tmp_path / "pids", tmp_path / "err"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        _run_script(_SWEEP_SCRIPT + "import os\nos._exit(0)\n", stdout, stderr)
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+    assert err.read_text() == ""
+    deadline = time.monotonic() + 10.0
+    alive = set(pids)
+    try:
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            alive = {pid for pid in alive if _alive(pid)}
+        assert not alive
+    finally:
+        for pid in alive:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
