@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import json
 import math
 import sys
@@ -400,9 +399,7 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(setting.flag, **setting.args)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``kdivis`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="kdivis",
         description="Divisibility classification, non-Markovianity measures "

@@ -7,10 +7,14 @@ that fails records an ERR marker instead of aborting the sweep.
 
 The process keeps one pool. The first sweep with ``jobs > 1`` starts it,
 and later sweeps with the same worker count reuse it; a different count,
-or a worker that died, replaces it. Its workers start with it; under the
-fork start method (the Linux default before Python 3.14) they keep the
-package state of that moment. They exit with the interpreter, or within
-a second of its death by a signal.
+or a worker that died, replaces it. Reuse pays off where one process runs
+many small sweeps, as an interactive session does: a two-worker pool
+takes about 10 ms to start, and a 6x6 composite sweep about 25 ms of
+work. A ``kdivis sweep`` run starts one pool either way. A sweep holds
+the pool until it ends, so sweeps from other threads wait. The workers
+start with the pool; under the fork start method (the Linux default
+before Python 3.14) they keep the package state of that moment. They
+exit with the interpreter, or within a second of its death by a signal.
 """
 
 from __future__ import annotations
@@ -208,8 +212,9 @@ def _sweep_row(spec: GridSpec, iy: int, compute_measures: bool) -> list[CellResu
     return [_evaluate_cell(spec, xv, yv, compute_measures) for xv in spec.x.values()]
 
 
-#: the process's worker pool and its worker count, set by the first sweep
-#: with jobs > 1; concurrent.futures joins the pool at interpreter exit
+#: the process's worker pool and its worker count, started by the first
+#: sweep with jobs > 1; a sweep holds _pool_lock while it uses the pool, and
+#: concurrent.futures joins the pool at interpreter exit
 _pool: ProcessPoolExecutor | None = None
 _pool_jobs = 0
 _pool_lock = threading.Lock()
@@ -229,26 +234,34 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """The pool of ``jobs`` workers, started or resized as needed."""
+def _pooled_rows(spec: GridSpec, compute_measures: bool, jobs: int) -> list:
+    """Every row of ``spec`` from the process's pool of ``jobs`` workers,
+    which is started, or replaced when ``jobs`` changes.
+
+    A worker of a reused pool may have died while the pool sat idle, so a
+    reused pool that turns out broken is replaced and the rows run once
+    more; a fresh pool that breaks is shut down and raises
+    ``BrokenProcessPool``.
+    """
     global _pool, _pool_jobs
     with _pool_lock:
-        if _pool is not None and _pool_jobs != jobs:
-            _pool.shutdown()
-            _pool = None
-        if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=jobs, initializer=_exit_with_parent)
-            _pool_jobs = jobs
-        return _pool
-
-
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut down a broken ``pool``; the next sweep starts a fresh one."""
-    global _pool
-    with _pool_lock:
-        if _pool is pool:
-            _pool = None
-    pool.shutdown()
+        reused = _pool is not None and _pool_jobs == jobs
+        while True:
+            if not reused:
+                if _pool is not None:
+                    _pool.shutdown()
+                    _pool = None
+                _pool = ProcessPoolExecutor(max_workers=jobs, initializer=_exit_with_parent)
+                _pool_jobs = jobs
+            try:
+                return list(_pool.map(_sweep_row, repeat(spec), range(spec.y.n),
+                                      repeat(compute_measures)))
+            except BrokenProcessPool:
+                if not reused:
+                    _pool.shutdown()
+                    _pool = None
+                    raise
+                reused = False
 
 
 def run_sweep(
@@ -260,22 +273,17 @@ def run_sweep(
 
     ``jobs`` is capped at the row count. One job runs in this process;
     more send one row per task to the process's reused worker pool (see
-    the module docstring). A worker that dies raises ``BrokenProcessPool``,
-    and the next sweep runs on a fresh pool.
+    the module docstring), which sweeps in other threads wait for. A
+    worker that dies during the sweep raises ``BrokenProcessPool``, and
+    the next sweep runs on a fresh pool.
     """
     if jobs is None:
         jobs = default_jobs()
     jobs = max(1, min(int(jobs), spec.y.n))
-    rows = range(spec.y.n)
     if jobs == 1:
-        parts = [_sweep_row(spec, iy, compute_measures) for iy in rows]
+        parts = [_sweep_row(spec, iy, compute_measures) for iy in range(spec.y.n)]
     else:
-        pool = _worker_pool(jobs)
-        try:
-            parts = list(pool.map(_sweep_row, repeat(spec), rows, repeat(compute_measures)))
-        except BrokenProcessPool:
-            _drop_pool(pool)
-            raise
+        parts = _pooled_rows(spec, compute_measures, jobs)
     return PhaseDiagramGrid(spec=spec, cells=[c for part in parts for c in part])
 
 

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -437,6 +438,62 @@ def test_a_dead_worker_breaks_its_sweep_and_the_next_runs_on_a_fresh_pool():
     new = _workers()
     assert len(new) == 2 and not old & new
     assert _cell_pids(grid) <= new
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    _assert_gone(pids)
+
+
+def test_a_worker_killed_between_sweeps_leaves_the_next_sweep_on_a_fresh_pool():
+    spec = _pid_spec()
+    sweep.run_sweep(spec, jobs=2)
+    old = _workers()
+    os.kill(min(old), signal.SIGKILL)
+    # the pool notices the death, marks itself broken and ends its other
+    # worker; the next sweep then finds it broken before any row runs
+    _wait_gone(old)
+    grid = sweep.run_sweep(spec, jobs=2)
+    new = _workers()
+    assert len(new) == 2 and not old & new
+    assert _cell_pids(grid) <= new
+
+
+def test_sweeps_from_threads_with_different_worker_counts_all_finish():
+    spec = _pid_spec()
+    errors, grids = [], []
+
+    def sweeps(jobs):
+        try:
+            for _ in range(4):
+                grids.append(sweep.run_sweep(spec, jobs=jobs))
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sweeps, args=(jobs,)) for jobs in (2, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(grids) == 8
+    assert all(os.getpid() not in _cell_pids(g) for g in grids)
 
 
 #: a fresh interpreter's jobs=2 sweep; prints the worker PIDs
