@@ -3,8 +3,10 @@
 Subcommands: ``classify``, ``blp``, ``rhp``, ``sweep``, ``figure``. Runs are
 described by a JSON config (checked against the flag and parameter tables,
 unknown keys rejected), by a named preset, or by flags; flags override file
-values. Exit codes: 0 on success, 1 on config errors, 2 on model/run errors
-or an output that cannot be written. Output files are written atomically.
+values. The verdict tolerance and the detection level are not settings:
+they come from ``config.DEFAULT``. Exit codes: 0 on success, 1 on config
+errors, 2 on model/run errors or an output that cannot be written. Output
+files are written atomically.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ class _Setting(NamedTuple):
 #: defaults derive from this table
 _SETTINGS = (
     _Setting("--pairs", "run", "pairs", dict(type=int, metavar="N"), 1, 64, {"blp", "sweep"}),
-    _Setting("--detection", "run", "detection", dict(type=float, metavar="F"), 0,
-             config.DEFAULT.detection, {"blp", "rhp", "sweep"}),
     _Setting("--config", None, None, dict(metavar="PATH", help="JSON run config"),
              None, None, {"classify", "blp", "rhp", "sweep", "figure"}),
     # a series goes to --out alone: a config shared with sweep names the
@@ -71,9 +71,6 @@ _SETTINGS = (
              {"classify", "blp", "rhp", "sweep"}),
     _Setting("--epsilon", "run", "epsilon", dict(type=float, metavar="F"), 0, None,
              {"classify", "rhp", "sweep"}),
-    _Setting("--tol", "run", "tolerance",
-             dict(type=float, metavar="F", help="absolute per-step witness tolerance"),
-             0, None, {"classify", "sweep"}),
     _Setting("--jobs", "run", "jobs",
              dict(type=int, metavar="N",
                   help="worker processes (default: usable CPU count)"),
@@ -284,8 +281,7 @@ def _cmd_classify(args) -> int:
     cfg = load_run_config(args.preset, args.config, _flag_overrides(args))
     model = _build_model(cfg)
     run = _run_block(cfg)
-    verdict = divisibility.classify(
-        model, run["horizon"], run["steps"], run["epsilon"], run["tolerance"])
+    verdict = divisibility.classify(model, run["horizon"], run["steps"], run["epsilon"])
     print(f"class: {verdict.pd_class}")
     print(f"worst CP violation: {verdict.worst_cp_violation:.6e}")
     print(f"worst P violation: {verdict.worst_p_violation:.6e}")
@@ -303,9 +299,9 @@ def _cmd_blp(args) -> int:
     model = _build_model(cfg)
     run = _run_block(cfg)
     result = measures.blp_measure(model, run["horizon"], run["steps"], run["pairs"])
+    level = config.DEFAULT.detection
     print(f"BLP measure: {result.measure:.6e}")
-    print(f"detected: {'yes' if result.measure > run['detection'] else 'no'} "
-          f"(threshold {run['detection']:g})")
+    print(f"detected: {'yes' if result.measure > level else 'no'} (threshold {level:g})")
     print(f"argmax pair direction: [{result.argmax_pair[0]:.6f}, "
           f"{result.argmax_pair[1]:.6f}, {result.argmax_pair[2]:.6f}]")
     if args.out:
@@ -320,9 +316,9 @@ def _cmd_rhp(args) -> int:
     model = _build_model(cfg)
     run = _run_block(cfg)
     result = measures.rhp_measure(model, run["horizon"], run["steps"], run["epsilon"])
+    level = config.DEFAULT.detection
     print(f"RHP measure: {result.measure:.6e}")
-    print(f"detected: {'yes' if result.measure > run['detection'] else 'no'} "
-          f"(threshold {run['detection']:g})")
+    print(f"detected: {'yes' if result.measure > level else 'no'} (threshold {level:g})")
     if result.singular_times:
         print(f"singular steps skipped: {len(result.singular_times)}")
     if args.out:
@@ -345,7 +341,7 @@ def _cmd_sweep(args) -> int:
         spec = sweep.GridSpec(
             family=model_cfg["family"], x=x, y=y, fixed=fixed,
             horizon=run["horizon"], n_steps=run["steps"], epsilon=run["epsilon"],
-            tol=run["tolerance"], detection=run["detection"], n_pairs=run["pairs"])
+            n_pairs=run["pairs"])
     except ValueError as exc:
         raise RunConfigError(str(exc)) from exc
     output = _block(cfg, "output")

@@ -20,7 +20,6 @@ the generic inversion scan of ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,18 +280,15 @@ def complement_scan(grid: models.PropagatorGrid) -> ComplementScan:
                           cp, p, trace_norm, singular, noise)
 
 
-def verdict_from_scan(scan: ComplementScan, tol: float | None = None) -> DivisibilityVerdict:
+def verdict_from_scan(scan: ComplementScan) -> DivisibilityVerdict:
     """Fold per-step witnesses into a verdict.
 
-    ``tol`` is the absolute per-step witness tolerance; by default it scales
-    with the step as ``config.DEFAULT.violation_per_eps * epsilon``. A step
-    only votes for a violation when its witness is beyond both ``tol`` and
-    its numerical noise floor.
+    The per-step witness tolerance scales with the step as
+    ``config.DEFAULT.violation_per_eps * epsilon``. A step only votes for a
+    violation when its witness is beyond both that tolerance and its
+    numerical noise floor.
     """
-    if tol is None:
-        tol = config.DEFAULT.violation_per_eps * scan.epsilon
-    elif not 0 < tol < math.inf:  # a NaN tol lets no witness vote: all PD2
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = config.DEFAULT.violation_per_eps * scan.epsilon
     valid = ~scan.singular
     if not valid.any():
         raise AllStepsSingular("every complement step over the horizon failed")
@@ -319,17 +315,16 @@ def classify(
     horizon: float,
     n_steps: int = 500,
     epsilon: float | None = None,
-    tol: float | None = None,
 ) -> DivisibilityVerdict:
     """Classify a process over ``[0, horizon]`` into PD0 / PD1 / PD2.
 
     Builds propagators on a uniform grid of ``n_steps`` steps, forms each
     two-point complement (step ``epsilon``, by default the grid spacing),
-    and applies the CP and positivity tests. Singular timepoints are
-    excluded from voting and reported in the verdict.
+    and applies the CP and positivity tests at the tolerance of
+    :func:`verdict_from_scan`. Singular timepoints are skipped and reported.
     """
     grid = models.propagator_grid(model, horizon, n_steps, epsilon)
-    return verdict_from_scan(complement_scan(grid), tol)
+    return verdict_from_scan(complement_scan(grid))
 
 
 def near_boundary(verdict: DivisibilityVerdict) -> bool:

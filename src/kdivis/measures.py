@@ -79,6 +79,9 @@ class RhpResult:
     singular_times: list[float]
 
 
+#: largest Bloch row entry whose square is finite in float64, about 1.3e154
+_GRAM_MAX = float(np.sqrt(np.finfo(float).max))
+
 #: elements of one BLP time-block temporary: 8192 float64 are 64 KiB, half
 #: of glibc's default mmap threshold, so the blocks come from the heap and
 #: are not mapped and page-faulted afresh on every call
@@ -112,12 +115,18 @@ def blp_from_grid(grid: models.PropagatorGrid, n_pairs: int) -> BlpResult:
 
     For an antipodal pure pair along ``u`` the evolved trace distance equals
     the Euclidean length of the evolved Bloch difference, ``|M_t u|``; the
-    rows' ``M_t = diag(d)`` has the Gram diagonal ``d * d``.
+    rows' ``M_t = diag(d)`` has the Gram diagonal ``d * d``. An entry of
+    ``d`` whose square overflows float64 raises ``ValueError`` naming the
+    first time; only a map that is not positive has an entry above 1.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    models.check_count("n_pairs", n_pairs, 1)
     dirs, weights = _pair_directions(n_pairs)
     d = grid.bloch[:, :3]
+    if np.abs(d).max() > _GRAM_MAX:
+        first = (np.abs(d) > _GRAM_MAX).any(axis=1).argmax()
+        raise ValueError(
+            f"BLP Gram diagonal overflows float64 from t = {grid.times[first]:.6g}: "
+            f"a Bloch eigenvalue exceeds {_GRAM_MAX:.3g}")
     gram = d * d
     rows = max(1, _BLOCK_ELEMS // n_pairs - 1)
     # row 0 of dist carries the last distance of the previous block; row 0

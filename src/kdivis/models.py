@@ -53,6 +53,7 @@ __all__ = [
     "CnotControlModel",
     "SuperradianceModel",
     "PropagatorGrid",
+    "check_count",
     "check_time_grid",
     "propagator_grid",
     "model_from_params",
@@ -435,6 +436,14 @@ class PropagatorGrid:
     conditioned: bool = False
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int or numpy int (no bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def check_time_grid(horizon: float, n_steps: int,
                     eps: float | None = None) -> tuple[float, float]:
     """Grid spacing ``dt`` and complement step ``eps`` (default ``dt``) of a
@@ -442,8 +451,7 @@ def check_time_grid(horizon: float, n_steps: int,
     or the step is invalid."""
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
+    check_count("n_steps", n_steps, 2)
     dt = horizon / n_steps
     if eps is None:
         eps = dt

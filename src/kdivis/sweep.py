@@ -68,7 +68,8 @@ class ParamRange:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Everything needed to reproduce one phase diagram."""
+    """Everything needed to reproduce one phase diagram, under the verdict
+    tolerance and detection level of ``config.DEFAULT``."""
 
     family: str
     x: ParamRange
@@ -77,11 +78,6 @@ class GridSpec:
     horizon: float
     n_steps: int = 500
     epsilon: float | None = None
-    #: absolute per-step witness tolerance; None for the eps-scaled default
-    tol: float | None = None
-    #: BLP level above which a cell counts as detected; the SVG draws the
-    #: level set where it splits the PD0 region
-    detection: float = config.DEFAULT.detection
     n_pairs: int = 64
 
     def __post_init__(self):
@@ -92,8 +88,7 @@ class GridSpec:
             if axis.name not in names:
                 raise ValueError(
                     f"{axis.name!r} is not a parameter of family {self.family!r}")
-            if axis.n < 2:
-                raise ValueError("axis needs at least 2 points")
+            models.check_count(f"axis {axis.name!r} n", axis.n, 2)
             if not (math.isfinite(axis.lo) and math.isfinite(axis.hi)):
                 raise ValueError(f"axis {axis.name!r} bounds must be finite")
             if not axis.lo < axis.hi:
@@ -119,12 +114,7 @@ class GridSpec:
             except ValueError as exc:
                 raise ValueError(f"fixed parameter {key!r}: {exc}") from None
         models.check_time_grid(self.horizon, self.n_steps, self.epsilon)
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.detection is None or not 0 < self.detection < math.inf:
-            raise ValueError(f"detection must be positive and finite, got {self.detection}")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
+        models.check_count("n_pairs", self.n_pairs, 1)
 
     def cell_model(self, xv: float, yv: float):
         params = dict(self.fixed)
@@ -188,7 +178,7 @@ def _evaluate_cell(spec: GridSpec, xv: float, yv: float,
         model = spec.cell_model(xv, yv)
         grid = models.propagator_grid(model, spec.horizon, spec.n_steps, spec.epsilon)
         scan = divisibility.complement_scan(grid)
-        verdict = divisibility.verdict_from_scan(scan, spec.tol)
+        verdict = divisibility.verdict_from_scan(scan)
         blp = rhp = None
         if compute_measures:
             blp = measures.blp_from_grid(grid, spec.n_pairs).measure
@@ -271,15 +261,16 @@ def run_sweep(
 ) -> PhaseDiagramGrid:
     """Evaluate every grid cell; deterministic regardless of ``jobs``.
 
-    ``jobs`` is capped at the row count. One job runs in this process;
-    more send one row per task to the process's reused worker pool (see
-    the module docstring), which sweeps in other threads wait for. A
-    worker that dies during the sweep raises ``BrokenProcessPool``, and
-    the next sweep runs on a fresh pool.
+    ``jobs``, an integer of at least 1, is capped at the row count. One
+    job runs in this process; more send one row per task to the process's
+    reused worker pool (see the module docstring), which sweeps in other
+    threads wait for. A worker that dies during the sweep raises
+    ``BrokenProcessPool``, and the next sweep runs on a fresh pool.
     """
     if jobs is None:
         jobs = default_jobs()
-    jobs = max(1, min(int(jobs), spec.y.n))
+    models.check_count("jobs", jobs, 1)
+    jobs = min(jobs, spec.y.n)
     if jobs == 1:
         parts = [_sweep_row(spec, iy, compute_measures) for iy in range(spec.y.n)]
     else:
@@ -451,13 +442,7 @@ def encode_svg(grid: PhaseDiagramGrid) -> str:
 
 
 def _blp_contour_segments(grid: PhaseDiagramGrid) -> list[tuple]:
-    cells = grid.cells
-    if all(c.blp is None for c in cells):
-        return []
-    thr = grid.spec.detection
-    pd0 = [c for c in cells if c.pd_class == "PD0" and c.blp is not None]
-    detected = [c for c in pd0 if c.blp > thr]
-    undetected = [c for c in pd0 if c.blp <= thr]
-    if not detected or not undetected:
-        return []
-    return _marching_squares(grid.field("blp"), thr)
+    thr = config.DEFAULT.detection
+    detected = {c.blp > thr for c in grid.cells if c.pd_class == "PD0" and c.blp is not None}
+    # a level that some PD0 cells pass and some do not splits the region
+    return _marching_squares(grid.field("blp"), thr) if len(detected) == 2 else []

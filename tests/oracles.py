@@ -519,11 +519,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "pairs": {"type": "integer", "minimum": 1},
-                "detection": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "steps": {"type": "integer", "minimum": 2},
                 "epsilon": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "jobs": {"type": "integer", "minimum": 1},
                 "measures": {"type": "boolean"},
             },

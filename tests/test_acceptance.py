@@ -12,7 +12,7 @@ import pytest
 
 from conftest import one_step_grid, random_cptp_map, random_hp_tp_map
 import oracles
-from kdivis import divisibility, measures, models, qmat, sweep
+from kdivis import config, divisibility, measures, models, qmat, sweep
 from kdivis.divisibility import DivisibilityClass
 
 
@@ -128,7 +128,7 @@ def test_criterion_5_cnot_model():
             y=sweep.ParamRange("a", 0.0, 1.0, 9),
             fixed={"J": 1.0}, horizon=10.0, n_steps=500)
         grid = sweep.run_sweep(spec, compute_measures=True)
-        threshold = spec.detection
+        threshold = config.DEFAULT.detection
         for cell in grid.cells:
             if cell.y in (0.0, 1.0):
                 assert cell.pd_class == "PD2", (cell.x, cell.y, cell.pd_class)
@@ -153,7 +153,7 @@ def test_criterion_6_superradiance():
             y=sweep.ParamRange("a", 0.0, 1.0, 6),
             fixed={"gamma0": 1.0}, horizon=10.0, n_steps=500)
         grid = sweep.run_sweep(spec, compute_measures=True)
-        threshold = spec.detection
+        threshold = config.DEFAULT.detection
 
         xs = spec.x.values()
         pi_cols = {i for i, x in enumerate(xs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from kdivis import cli, divisibility, figures, measures, models, sweep
+from kdivis import cli, config, divisibility, figures, measures, models, sweep
 from kdivis.cli import main
 
 #: (family, config and flag name, model attribute) of every model parameter
@@ -419,7 +419,7 @@ def test_model_parameter_flag_and_config_type(family, name, attr, tmp_path, caps
 
 
 #: (subcommand and its positional, a flag it does not read) for every
-#: subcommand; sweep reads every run and output flag
+#: subcommand; sweep reads every run and output flag but the two below
 IGNORED_FLAGS = [
     *((["figure", "fig1"], f) for f in (["--out", "x"], ["--horizon", "1"], ["--steps", "3"],
                                          ["--epsilon", "99"], ["--tol", "7"])),
@@ -429,6 +429,10 @@ IGNORED_FLAGS = [
                                       ["--format", "svg"], ["--jobs", "7"])),
     *((["rhp", "hall"], f) for f in (["--tol", "5"], ["--format", "svg"], ["--jobs", "7"],
                                       ["--pairs", "3"])),
+    # the verdict tolerance and the detection level are config.DEFAULT's alone
+    (["figure", "fig1"], ["--detection", "1"]), (["classify", "hall"], ["--tol", "1"]),
+    (["blp", "hall"], ["--detection", "1"]), (["rhp", "hall"], ["--detection", "1"]),
+    (["sweep", "hall"], ["--tol", "1"]), (["sweep", "hall"], ["--detection", "1"]),
 ]
 
 
@@ -445,14 +449,13 @@ def test_figure_rejects_flags_it_does_not_read(flag, tmp_path, monkeypatch, caps
 
 def test_subcommands_take_the_flags_they_read(tmp_path):
     parser = cli.build_parser()
-    for argv in (["classify", "hall", "--horizon", "1", "--steps", "3", "--epsilon", "0.1",
-                  "--tol", "1e-6"],
+    for argv in (["classify", "hall", "--horizon", "1", "--steps", "3", "--epsilon", "0.1"],
                  ["blp", "hall", "--horizon", "1", "--steps", "3", "--pairs", "2",
-                  "--detection", "0.1", "--out", "x"],
+                  "--out", "x"],
                  ["rhp", "hall", "--horizon", "1", "--steps", "3", "--epsilon", "0.1",
-                  "--detection", "0.1", "--out", "x"],
-                 ["sweep", "--horizon", "1", "--steps", "3", "--epsilon", "0.1", "--tol", "1",
-                  "--pairs", "2", "--detection", "1", "--out", "x", "--format", "csv",
+                  "--out", "x"],
+                 ["sweep", "--horizon", "1", "--steps", "3", "--epsilon", "0.1",
+                  "--pairs", "2", "--out", "x", "--format", "csv",
                   "--jobs", "1", "--measures"],
                  ["figure", "fig1", "--format", "csv", "--jobs", "1"]):
         parser.parse_args([*argv, "--config", str(tmp_path / "c.json")])
@@ -503,13 +506,34 @@ def test_non_finite_model_flag_is_model_error(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["classify", "hall", "--tol", "nan"], "run/tolerance: nan"),
-    (["blp", "hall", "--detection", "inf"], "run/detection: inf"),
+    (["classify", "hall", "--epsilon", "nan"], "run/epsilon: nan"),
+    (["blp", "hall", "--horizon", "nan"], "run/horizon: nan"),
     (["rhp", "hall", "--horizon", "inf"], "run/horizon: inf"),
 ])
 def test_non_finite_run_flag_is_config_error(argv, field, capsys):
     assert main(argv) == 1
     assert f"config error: config field {field} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "blp", "rhp", "sweep", "figure"])
+@pytest.mark.parametrize("key", ["tolerance", "detection"])
+def test_threshold_config_keys_are_config_errors(key, command, tmp_path, capsys):
+    # the verdict tolerance and the detection level are config.DEFAULT's alone
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"run": {key: 0.001}}))
+    argv = [command, *(["fig1"] if command == "figure" else []), "--config", str(path)]
+    assert main(argv) == 1
+    assert f"config field run: unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["blp", "rhp"])
+def test_detected_line_reads_the_level_from_config(command, monkeypatch, capsys):
+    argv = [command, "ad", "--steps", "50"]
+    assert main(argv) == 0
+    assert "detected: yes (threshold 1e-05)" in capsys.readouterr().out
+    monkeypatch.setattr(config, "DEFAULT", config.Tolerances(detection=1e3))
+    assert main(argv) == 0
+    assert "detected: no (threshold 1000)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -566,8 +590,8 @@ def test_output_files_get_the_umask_mode_and_keep_their_own(tmp_path, capsys):
 
 #: a value other than the default for every key of the settings table
 SETTING_VALUES = {
-    "run.pairs": 3, "run.detection": 0.5, "run.horizon": 2.5, "run.steps": 30,
-    "run.epsilon": 0.01, "run.tolerance": 1e-6, "run.jobs": 3, "run.measures": True,
+    "run.pairs": 3, "run.horizon": 2.5, "run.steps": 30,
+    "run.epsilon": 0.01, "run.jobs": 3, "run.measures": True,
     "output.path": "p.csv", "output.format": "svg", "output.dir": "d",
 }
 
@@ -614,8 +638,6 @@ def test_cli_run_defaults_match_the_library_defaults():
     assert run["pairs"] == spec["n_pairs"] == blp["n_pairs"].default
     assert run["epsilon"] == spec["epsilon"] == classify["epsilon"].default
     assert run["epsilon"] == rhp["epsilon"].default
-    assert run["tolerance"] == spec["tol"] == classify["tol"].default
-    assert run["detection"] == spec["detection"]
 
 
 def test_import_loads_no_scipy_or_jsonschema():
@@ -671,8 +693,8 @@ def _config_corpus():
     base = {"model": {"family": "cnot", "J": 1.0, "gamma": 0.1, "a": 0.5},
             "sweep": {"x": {"name": "gamma", "min": 0.01, "max": 1.0, "n": 3},
                       "y": {"name": "a", "min": 0.0, "max": 1.0, "n": 3}},
-            "run": {"horizon": 2.0, "steps": 20, "pairs": 8, "detection": 1e-5,
-                    "epsilon": 0.01, "tolerance": 1e-9, "jobs": 2, "measures": True},
+            "run": {"horizon": 2.0, "steps": 20, "pairs": 8,
+                    "epsilon": 0.01, "jobs": 2, "measures": True},
             "output": {"path": "s", "format": "both", "dir": "d"}}
     configs = [base, *cli.PRESETS.values()]
     # the sweep configs the benchmark writes

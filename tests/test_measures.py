@@ -100,6 +100,27 @@ def test_blp_matches_direct_bloch_norm(family):
         assert_allclose(result.sigma_series, sigma, rtol=0, atol=1e-12)
 
 
+def test_blp_of_a_gram_row_past_float64_is_a_value_error():
+    # g1 = -100 grows lambda_2 = lambda_3 = e^{99 t} past sqrt(float max),
+    # 1.3e154, from t = 3.585: d * d overflowed there and the measure was NaN
+    model = models.PauliChannelModel.constant(-100.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"BLP Gram diagonal overflows float64 from t = 3\.938"):
+        measures.blp_measure(model, 7.16, 20)
+    # one step earlier every entry still squares to a float64
+    assert measures.blp_measure(model, 3.58, 10).measure > 1e150
+
+
+def test_blp_command_of_an_overflowing_model_is_a_run_error(capsys):
+    from kdivis.cli import main
+    argv = ["blp", "pauli", "--g1", "-100", "--g2", "1", "--g3", "1", "--steps", "20"]
+    assert main([*argv, "--horizon", "7.16"]) == 2
+    captured = capsys.readouterr()
+    assert "error: BLP Gram diagonal overflows float64" in captured.err
+    assert captured.out == ""
+    # classify and rhp read no Gram diagonal and stay finite
+    assert main(["classify", *argv[1:], "--horizon", "7.16"]) == 0
+
+
 def test_blp_directions_cached_read_only_and_calls_repeat():
     grid = models.propagator_grid(models.AmplitudeDampingModel(2.0, 1.0), 20.0, 300)
     first = measures.blp_from_grid(grid, 16)

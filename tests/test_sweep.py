@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdivis import sweep
+from kdivis import config, divisibility, sweep
 from kdivis.sweep import CellResult, GridSpec, ParamRange, PhaseDiagramGrid
 
 
@@ -94,13 +94,33 @@ def test_grid_spec_rejects_non_finite_values():
             _tiny_ad_spec(x=ParamRange("gamma0", lo, hi, 5))
 
 
-@pytest.mark.parametrize("name, value", [
-    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
-    ("detection", float("nan")), ("detection", -1.0), ("detection", None),
-])
-def test_grid_spec_rejects_tolerance_and_detection_not_positive_and_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-        _tiny_ad_spec(**{name: value})
+@pytest.mark.parametrize("make", [
+    lambda: _tiny_ad_spec(n_steps=200.0),
+    lambda: _tiny_ad_spec(x=ParamRange("gamma0", 0.1, 1.5, 3.0)),
+    lambda: _tiny_ad_spec(y=ParamRange("lambda", 0.4, 1.6, True)),
+    lambda: _tiny_ad_spec(n_pairs=2.5),
+], ids=["n_steps", "axis-n", "axis-n-bool", "n_pairs"])
+def test_grid_spec_rejects_a_count_that_is_not_an_integer(make):
+    # each reached numpy and aborted the sweep with an untyped TypeError
+    with pytest.raises(ValueError, match=r"n(_steps|_pairs)? must be an integer, got"):
+        make()
+
+
+def test_grid_spec_accepts_numpy_integer_counts():
+    spec = _tiny_ad_spec(x=ParamRange("gamma0", 0.1, 1.5, np.int64(2)),
+                         y=ParamRange("lambda", 0.4, 1.6, np.int32(2)),
+                         n_steps=np.int64(20), n_pairs=np.int16(4))
+    assert sweep.encode_csv(sweep.run_sweep(spec, True, jobs=1)) == sweep.encode_csv(
+        sweep.run_sweep(_tiny_ad_spec(x=ParamRange("gamma0", 0.1, 1.5, 2),
+                                      y=ParamRange("lambda", 0.4, 1.6, 2),
+                                      n_steps=20, n_pairs=4), True, jobs=1))
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, True])
+def test_run_sweep_rejects_jobs_that_are_not_a_positive_integer(jobs):
+    # jobs <= 0 used to run in this process without a word
+    with pytest.raises(ValueError, match="jobs must be"):
+        sweep.run_sweep(_tiny_ad_spec(), jobs=jobs)
 
 
 def test_cell_model_binds_axes():
@@ -335,6 +355,32 @@ def test_svg_contour_present_iff_pd0_split_by_threshold():
     bare = _grid(nx=2, ny=2, cells=[_cell(0, 0, "PD0"), _cell(1, 0, "PD0"),
                                     _cell(0, 1, "PD0"), _cell(1, 1, "PD0")])
     assert "stroke-dasharray" not in sweep.encode_svg(bare)
+
+
+def test_verdicts_and_contour_read_their_thresholds_from_config(monkeypatch):
+    hall = GridSpec(family="pauli", x=ParamRange("g1", 1.0, 1.5, 2),
+                    y=ParamRange("g2", 1.0, 1.5, 2), fixed={"g3": "tanh-neg"},
+                    horizon=10.0, n_steps=500)
+    ad = _tiny_ad_spec()
+    grid = sweep.run_sweep(ad, compute_measures=True, jobs=1)
+    # at the default thresholds the Hall cells are PD1, and every PD0 cell
+    # of the AD grid is detected, so no contour is drawn
+    assert {c.pd_class for c in sweep.run_sweep(hall, jobs=1).cells} == {"PD1"}
+    assert "stroke-dasharray" not in sweep.encode_svg(grid)
+
+    # the Hall cells' worst CP witness, about -1e-2, lies within a tolerance
+    # of 1 * eps = 2e-2; the level 0.05 splits the AD grid's PD0 cells
+    level = 0.05
+    monkeypatch.setattr(config, "DEFAULT", config.Tolerances(
+        violation_per_eps=1.0, detection=level))
+    verdict = divisibility.classify(hall.cell_model(1.0, 1.0), 10.0)
+    assert verdict.pd_class == divisibility.DivisibilityClass.PD2
+    assert verdict.tol == 1.0 * 10.0 / 500
+    assert {c.pd_class for c in sweep.run_sweep(hall, jobs=1).cells} == {"PD2"}
+    svg = sweep.encode_svg(grid)
+    segments = sweep._marching_squares(grid.field("blp"), level)
+    assert segments
+    assert svg.count(" L ") == len(segments)
 
 
 def test_marching_squares_simple_field():
